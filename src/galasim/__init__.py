@@ -34,6 +34,7 @@ from .nn import (
     finite_difference_grad,
     forward_model,
     grad_check,
+    head_grad,
     lr_schedule,
     sgd_step,
     softmax,

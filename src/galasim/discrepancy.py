@@ -113,9 +113,15 @@ class GroupClassifier:
     def predict(self, z: np.ndarray) -> np.ndarray:
         """Weighted average of member probability outputs (post-softmax)."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        out = np.zeros((z.shape[0], self.num_classes))
-        for w, (_, clf) in zip(self.weights, self.members):
-            out += w * clf.forward(z)
+        return self._average(self._member_probs(z))
+
+    def _member_probs(self, z: np.ndarray) -> list[np.ndarray]:
+        return [clf.forward(z) for _, clf in self.members]
+
+    def _average(self, member_probs: Sequence[np.ndarray]) -> np.ndarray:
+        out = np.zeros_like(member_probs[0])
+        for w, q in zip(self.weights, member_probs):
+            out += w * q
         return out
 
 
@@ -125,21 +131,17 @@ def group_predict(gc: GroupClassifier, z: np.ndarray) -> np.ndarray:
     return probs[0] if squeeze else probs
 
 
-def _group_backprop_dfeatures(gc: GroupClassifier, features: np.ndarray,
+def _group_backprop_dfeatures(gc: GroupClassifier, member_probs: Sequence[np.ndarray],
                               dprobs: np.ndarray) -> np.ndarray:
-    """d(loss)/d(features) through every member's softmax and linear layer."""
-    dfeat = np.zeros_like(features)
-    for w, (_, clf) in enumerate_members(gc):
-        q = clf.forward(features)
+    """d(loss)/d(features) through every member's softmax and linear layer,
+    given each member's probabilities on the features."""
+    dfeat = np.zeros((dprobs.shape[0], gc.input_dim))
+    for w, (_, clf), q in zip(gc.weights, gc.members, member_probs):
         dq = w * dprobs
         # softmax Jacobian-transpose: q * (dq - <dq, q>)
         du = q * (dq - (dq * q).sum(axis=1, keepdims=True))
         dfeat += du @ clf.params.unpack()["w"]
     return dfeat
-
-
-def enumerate_members(gc: GroupClassifier):
-    return zip(gc.weights, gc.members)
 
 
 def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassifier,
@@ -153,14 +155,14 @@ def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassi
         raise ConfigError("group classifier feature dim does not match extractor output")
     acts, preacts = extractor.forward_trace(x)
     features = acts[-1]
-    p1 = gc1.predict(features)
-    p2 = gc2.predict(features)
-    diff = p1 - p2
+    q1 = gc1._member_probs(features)  # each member's softmax, computed once
+    q2 = gc2._member_probs(features)
+    diff = gc1._average(q1) - gc2._average(q2)
     batch = x.shape[0]
     loss = float(np.abs(diff).sum() / batch)
     sign = np.sign(diff) / batch  # sign(0) = 0 keeps identical groups a fixed point
-    dfeat = _group_backprop_dfeatures(gc1, features, sign)
-    dfeat += _group_backprop_dfeatures(gc2, features, -sign)
+    dfeat = _group_backprop_dfeatures(gc1, q1, sign)
+    dfeat += _group_backprop_dfeatures(gc2, q2, -sign)
     grad = extractor.backprop(acts, preacts, dfeat)
     return loss, grad
 

@@ -15,7 +15,6 @@ import hashlib
 import itertools
 import os
 import re
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -257,13 +256,17 @@ _FIXED_COLUMNS = ("round", "target_acc", "igd_loss", "mean_source_loss",
 
 def emit_metrics(records: Sequence[RoundRecord], path) -> None:
     """Write one CSV row per round: the fixed columns, then w_0..w_{N-1},
-    then the g1 membership bitmask. LF endings, RFC-4180 quoting."""
+    then the g1 membership bitmask. LF endings, RFC-4180 quoting.
+
+    The file appears at `path` only once complete, since resume treats any
+    existing run CSV as done."""
     if not records:
         raise ValueError("emit_metrics: no records")
     n = records[0].weights.size
     header = list(_FIXED_COLUMNS) + [f"w_{i}" for i in range(n)] + ["g1_bitmask"]
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for rec in records:
@@ -277,6 +280,9 @@ def emit_metrics(records: Sequence[RoundRecord], path) -> None:
                 row += [repr(float(w)) for w in rec.weights]
                 row.append(rec.partition.bitmask_g1() if rec.partition else 0)
                 writer.writerow(row)
+
+    try:
+        _atomic_write(Path(path), write)
     except OSError as exc:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
 
@@ -298,16 +304,18 @@ def build_domains(spec: ExperimentSpec, cache_dir: Optional[Path] = None
         dataset = entry.build()
         if cached is not None:
             cache_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_save(dataset, cached)
+            _atomic_write(cached, lambda tmp: save_dataset(dataset, tmp))
         out[entry.name] = dataset
     return out
 
 
-def _atomic_save(dataset: DomainDataset, path: Path) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
+def _atomic_write(path: Path, write) -> None:
+    """Call write(tmp) on a file beside `path`, then move it into place: a
+    failure partway leaves nothing at `path`. `write` creates the file, so it
+    gets the usual umask permissions; the pid keeps workers apart."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        save_dataset(dataset, tmp)
+        write(tmp)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

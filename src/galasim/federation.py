@@ -38,6 +38,7 @@ from .nn import (
     FeatureExtractor,
     OptimizerState,
     cross_entropy_grad,
+    head_grad,
     lr_schedule,
     sgd_step,
     weighted_mean,
@@ -159,10 +160,15 @@ def _train_supervised(extractor: FeatureExtractor, classifier: Classifier,
                       lr: float, momentum: float, weight_decay: float,
                       rng: np.random.Generator, mixup_alpha: Optional[float] = None,
                       update_extractor: bool = True):
-    """Minibatch cross-entropy SGD; returns (extractor, classifier, mean loss)."""
+    """Minibatch cross-entropy SGD; returns (extractor, classifier, mean loss).
+
+    With update_extractor=False only the classifier head trains: each batch
+    goes through the frozen extractor forward and no extractor gradient is
+    formed."""
     x = dataset.samples.astype(np.float64)
     y = dataset.require_labels()
-    opt_g = OptimizerState.for_params(extractor.params, lr, momentum, weight_decay)
+    opt_g = OptimizerState.for_params(extractor.params, lr, momentum, weight_decay) \
+        if update_extractor else None
     opt_f = OptimizerState.for_params(classifier.params, lr, momentum, weight_decay)
     losses = []
     for _ in range(epochs):
@@ -175,7 +181,10 @@ def _train_supervised(extractor: FeatureExtractor, classifier: Classifier,
                                     mixup_alpha, rng)
             else:
                 targets = yb
-            loss, grad_g, grad_f = cross_entropy_grad(extractor, classifier, xb, targets)
+            if update_extractor:
+                loss, grad_g, grad_f = cross_entropy_grad(extractor, classifier, xb, targets)
+            else:
+                loss, grad_f, _ = head_grad(classifier, extractor.forward(xb), targets)
             if not np.isfinite(loss):
                 raise NumericError("non-finite training loss")
             losses.append(loss)
@@ -375,10 +384,14 @@ def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
 
         if cfg.protocol == "gala":
             partition = random_partition(n, seed=_partition_seed(cfg.seed, t))
-            group_w = group_normalize(weights, partition)
             # runtime guard: the group-renormalized weights must stay the
-            # exact restriction of the globals (the round is invalid otherwise)
-            DomainWeights(weights, group_w, sims, cfg.tau, partition).validate(1e-9)
+            # exact restriction of the globals (the round is invalid otherwise);
+            # a weight that underflows to zero at a large tau fails it
+            try:
+                group_w = group_normalize(weights, partition)
+                DomainWeights(weights, group_w, sims, cfg.tau, partition).validate(1e-9)
+            except ValueError as exc:
+                raise NumericError(str(exc), round_index=t, client="server") from exc
             groups = []
             for members in (partition.g1, partition.g2):
                 groups.append(GroupClassifier(

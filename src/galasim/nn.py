@@ -10,6 +10,8 @@ Everything here is a pure function over value types; all math is float64.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,8 +22,16 @@ from .errors import ConfigError, DataError, NumericError
 ShapeSpec = tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _spec_size(shape_spec: ShapeSpec) -> int:
-    return sum(int(np.prod(dims)) for _, dims in shape_spec)
+@functools.lru_cache(maxsize=128)
+def _layout(shape_spec: ShapeSpec) -> tuple[int, tuple[tuple[str, int, int, tuple[int, ...]], ...]]:
+    """Total size of a shape_spec and its (name, start, stop, dims) blocks."""
+    blocks = []
+    offset = 0
+    for name, dims in shape_spec:
+        size = math.prod(dims)
+        blocks.append((name, offset, offset + size, dims))
+        offset += size
+    return offset, tuple(blocks)
 
 
 @dataclass
@@ -39,15 +49,16 @@ class ParamVec:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise ValueError("ParamVec values must be one-dimensional")
-        if self.values.size != _spec_size(self.shape_spec):
+        total = _layout(self.shape_spec)[0]
+        if self.values.size != total:
             raise ValueError(
                 f"ParamVec length {self.values.size} does not match shape_spec "
-                f"total {_spec_size(self.shape_spec)}"
+                f"total {total}"
             )
 
     @classmethod
     def zeros(cls, shape_spec: ShapeSpec) -> "ParamVec":
-        return cls(np.zeros(_spec_size(shape_spec)), shape_spec)
+        return cls(np.zeros(_layout(shape_spec)[0]), shape_spec)
 
     def zeros_like(self) -> "ParamVec":
         return ParamVec.zeros(self.shape_spec)
@@ -57,13 +68,9 @@ class ParamVec:
 
     def unpack(self) -> dict[str, np.ndarray]:
         """Views of each layer block, reshaped; mutating them mutates the vector."""
-        out = {}
-        offset = 0
-        for name, dims in self.shape_spec:
-            size = int(np.prod(dims))
-            out[name] = self.values[offset : offset + size].reshape(dims)
-            offset += size
-        return out
+        values = self.values
+        return {name: values[start:stop].reshape(dims)
+                for name, start, stop, dims in _layout(self.shape_spec)[1]}
 
     def _check_compatible(self, other: "ParamVec") -> None:
         if self.shape_spec != other.shape_spec:
@@ -286,28 +293,27 @@ def _as_soft_targets(labels, num_classes: int) -> np.ndarray:
     return onehot
 
 
-def cross_entropy_grad(extractor: FeatureExtractor, classifier: Classifier,
-                       x: np.ndarray, labels) -> tuple[float, ParamVec, ParamVec]:
-    """Mean cross-entropy over the batch and its exact analytic gradients.
+def head_grad(classifier: Classifier, features: np.ndarray,
+              labels) -> tuple[float, ParamVec, np.ndarray]:
+    """Mean cross-entropy of the classifier on fixed features, its gradient
+    with respect to the classifier, and d(loss)/d(features).
 
     `labels` is either an int array of class indices or a (batch, C) matrix of
-    soft targets whose rows sum to 1 (mixup). Returns (loss, gradG, gradF).
+    soft targets whose rows sum to 1 (mixup). Returns (loss, gradF, dfeatures).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise ValueError("cross_entropy_grad: empty batch")
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    batch = features.shape[0]
+    if batch == 0:
+        raise ValueError("cross-entropy: empty batch")
     targets = _as_soft_targets(labels, classifier.num_classes)
-    if targets.shape[0] != x.shape[0]:
+    if targets.shape[0] != batch:
         raise DataError("labels length does not match batch size")
 
-    acts, preacts = extractor.forward_trace(x)
-    features = acts[-1]
     logits = classifier.logits(features)
     # log-softmax with max subtraction keeps -log p exact for tiny p
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     probs = np.exp(log_probs)
-    batch = x.shape[0]
     loss = float(-(targets * log_probs).sum() / batch)
 
     dlogits = (probs - targets) / batch
@@ -316,6 +322,17 @@ def cross_entropy_grad(extractor: FeatureExtractor, classifier: Classifier,
     gfb["w"][...] = dlogits.T @ features
     gfb["b"][...] = dlogits.sum(axis=0)
     dfeatures = dlogits @ classifier.params.unpack()["w"]
+    return loss, grad_f, dfeatures
+
+
+def cross_entropy_grad(extractor: FeatureExtractor, classifier: Classifier,
+                       x: np.ndarray, labels) -> tuple[float, ParamVec, ParamVec]:
+    """Mean cross-entropy over the batch and its exact analytic gradients.
+
+    `labels` as for `head_grad`. Returns (loss, gradG, gradF).
+    """
+    acts, preacts = extractor.forward_trace(x)
+    loss, grad_f, dfeatures = head_grad(classifier, acts[-1], labels)
     grad_g = extractor.backprop(acts, preacts, dfeatures)
     return loss, grad_g, grad_f
 

@@ -1,6 +1,7 @@
 """Config parsing, metrics CSV schema, and experiment runner tests."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ samples_per_class = 24
 input_dim = 4
 seed = 1
 transforms = rotate(angle=0.3); label_noise(fraction=0.1, seed=5)
+"""
+
+
+DISTRACTOR = """
+[domain s2]
+generator = gaussian
+num_classes = 3
+samples_per_class = 24
+input_dim = 4
+seed = 2
+transforms = rotate(angle=1.9); mean_shift(magnitude=2.5, seed=9); label_noise(fraction=0.5, seed=6)
 """
 
 
@@ -180,6 +192,15 @@ class TestEmitMetrics:
         for rec, row in zip(records, rows[1:]):
             assert int(row[-1]) == sum(1 << i for i in rec.partition.g1)
 
+    def test_write_failing_midway_leaves_no_file(self, tmp_path):
+        records = self.run_records()
+        # the last row cannot be formatted, after earlier rows were written
+        bad = dataclasses.replace(records[-1], weights=np.array(["nan?"] * 4))
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError):
+            emit_metrics([*records[:-1], bad], path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_lf_line_endings(self, tmp_path):
         records = self.run_records()
         path = tmp_path / "m.csv"
@@ -257,6 +278,18 @@ class TestRunExperiment:
         # domain cache and directory structure survive for a resume
         assert (tmp_path / "out" / "cache").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_weight_underflow_fails_one_run_and_sweep_continues(self, tmp_path):
+        # at tau=3000 the distractor's weight underflows to 0 in round 0
+        text = CONFIG.replace("tau = 0.5, 2.0", "tau = 3, 3000").replace(
+            "num_seeds = 2", "num_seeds = 1") + DISTRACTOR
+        spec = parse_config(write_config(tmp_path, text))
+        assert run_experiment(spec) == 3
+        runs = [p.name for p in (tmp_path / "out" / "runs").iterdir()]
+        assert len(runs) == 1 and "__tau=3.0__" in runs[0]
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["tau=3.0"]
 
     def test_oracle_metrics_have_no_weight_columns(self, tmp_path):
         from galasim import run_oracle

@@ -8,6 +8,7 @@ import pytest
 from galasim import (
     ConfigError,
     DataError,
+    NumericError,
     ProtocolConfig,
     TransformSpec,
     account_communication,
@@ -20,7 +21,8 @@ from galasim import (
     similarity_matrix,
     weighted_mean,
 )
-from galasim.federation import _init_model, evaluate_accuracy, sample_pair
+from galasim.federation import (_init_model, _train_supervised, evaluate_accuracy,
+                                sample_pair)
 
 
 def small_cfg(**overrides):
@@ -38,6 +40,15 @@ def small_suite(n_sources=4, seed0=0, input_dim=4, num_classes=3, k=24,
         num_classes, target_k or k, input_dim, seed=seed0 + 100,
         shift=TransformSpec("mean_shift", {"magnitude": 1.0}, seed=7))
     return sources, target
+
+
+def distractor(seed=9, input_dim=4, num_classes=3, k=24):
+    """A source rotated, shifted and half mislabeled away from the others."""
+    return gen_gaussian_domain(
+        num_classes, k, input_dim, seed=seed,
+        shift=(TransformSpec("rotate", {"angle": 1.9}),
+               TransformSpec("mean_shift", {"magnitude": 2.5}, seed=seed),
+               TransformSpec("label_noise", {"fraction": 0.5}, seed=seed)))
 
 
 class TestRunGala:
@@ -119,6 +130,25 @@ class TestRunGala:
         recomputed = evaluate_accuracy(result.extractor, result.classifier,
                                        eval_split)
         assert result.final_accuracy == recomputed
+
+    def test_weight_underflow_is_numeric_error(self):
+        # at a huge tau the distractor's softmax weight underflows to 0
+        sources, target = small_suite(n_sources=3)
+        with pytest.raises(NumericError) as info:
+            run_gala(small_cfg(tau=3000.0), [*sources, distractor()], target)
+        assert info.value.round_index == 0
+        assert info.value.client == "server"
+
+    @pytest.mark.parametrize("mixup_alpha", [None, 0.4])
+    def test_frozen_fine_tune_leaves_extractor_bytes(self, mixup_alpha):
+        sources, _ = small_suite()
+        extractor, classifier = _init_model(small_cfg(), 4, 3)
+        before = extractor.params.values.tobytes()
+        g, f, _ = _train_supervised(extractor, classifier, sources[0], 2, 16,
+                                    0.05, 0.9, 5e-4, np.random.default_rng(0),
+                                    mixup_alpha, update_extractor=False)
+        assert g.params.values.tobytes() == before
+        assert not np.array_equal(f.params.values, classifier.params.values)
 
     def test_full_pairwise_variant_runs(self):
         sources, target = small_suite(n_sources=3)

@@ -3,6 +3,8 @@ against finite differences, optimizer arithmetic, schedule."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galasim import (
     Classifier,
@@ -15,6 +17,7 @@ from galasim import (
     cross_entropy_grad,
     forward_model,
     grad_check,
+    head_grad,
     lr_schedule,
     sgd_step,
     softmax,
@@ -39,6 +42,11 @@ def randomized_model(rng, input_dim=4, hidden=(5,), d=3, num_classes=3):
     classifier = classifier.with_params(ParamVec(
         rng.uniform(-0.8, 0.8, classifier.params.size), classifier.params.shape_spec))
     return extractor, classifier
+
+
+shape_specs = st.lists(
+    st.lists(st.integers(0, 4), max_size=3).map(tuple), min_size=1, max_size=5,
+).map(lambda dims: tuple((f"p{i}", d) for i, d in enumerate(dims)))
 
 
 def reference_forward(extractor, classifier, x):
@@ -84,6 +92,27 @@ class TestParamVec:
         pv = ParamVec.zeros((("w", (2, 2)), ("b", (2,))))
         pv.unpack()["w"][0, 0] = 7.0
         assert pv.values[0] == 7.0
+
+    @settings(deadline=None)
+    @given(shape_specs)
+    def test_unpack_views_tile_buffer_in_order(self, spec):
+        total = sum(int(np.prod(dims)) for _, dims in spec)
+        pv = ParamVec(np.arange(total, dtype=np.float64), spec)
+        views = pv.unpack()
+        assert list(views) == [name for name, _ in spec]
+        assert [v.shape for v in views.values()] == [dims for _, dims in spec]
+        flat = [v.ravel() for v in views.values()]
+        np.testing.assert_array_equal(np.concatenate(flat), np.arange(total))
+        for v in views.values():
+            v += 1000.0
+        np.testing.assert_array_equal(pv.values, np.arange(total) + 1000.0)
+        with pytest.raises(ValueError):
+            ParamVec(np.zeros(total + 1), spec)
+        if total:
+            with pytest.raises(ValueError):
+                ParamVec(np.zeros(total - 1), spec)
+        with pytest.raises(ValueError):
+            ParamVec(np.zeros((1, total)), spec)
 
     def test_weighted_mean_of_identical_vectors(self):
         spec = (("w", (3,)),)
@@ -188,6 +217,21 @@ class TestCrossEntropy:
             classifier.params, 1e-5)
         assert relative_grad_error(grad_g, num_g) < 1e-4
         assert relative_grad_error(grad_f, num_f) < 1e-4
+
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_head_grad_matches_cross_entropy_grad(self, soft):
+        rng = np.random.default_rng(8)
+        extractor, classifier = randomized_model(rng)
+        x = rng.standard_normal((7, 4))
+        labels = rng.integers(0, 3, size=7)
+        if soft:  # mixup-style targets: rows of a Dirichlet draw
+            labels = rng.dirichlet(np.ones(3), size=7)
+        loss, _, grad_f = cross_entropy_grad(extractor, classifier, x, labels)
+        head_loss, head_grad_f, dfeatures = head_grad(
+            classifier, extractor.forward(x), labels)
+        assert head_loss == loss
+        np.testing.assert_array_equal(head_grad_f.values, grad_f.values)
+        assert dfeatures.shape == (7, classifier.input_dim)
 
     def test_empty_batch_rejected(self):
         extractor, classifier = small_model()
