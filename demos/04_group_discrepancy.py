@@ -13,7 +13,6 @@ from galasim import (
     FeatureExtractor,
     GroupClassifier,
     OptimizerState,
-    adversarial_update,
     enumerate_partitions,
     full_pairwise_loss,
     gen_gaussian_domain,
@@ -22,6 +21,7 @@ from galasim import (
     igd_loss,
     mdmgb_plus,
     random_partition,
+    sgd_step,
 )
 
 rng = np.random.default_rng(1)
@@ -62,10 +62,14 @@ print(f"expected group loss over all {len(values)} splits: {np.mean(values):.4f}
 print("\nminimizing the group loss over the target set (5 epochs):")
 opt = OptimizerState.for_params(extractor.params, lr0=0.05, momentum=0.9)
 current = extractor
+data = target.samples.astype(np.float64)
 for epoch in range(5):
-    current, losses = adversarial_update(
-        current, gc1, gc2, target.samples, steps=1, opt=opt, lr=0.05,
-        batch_size=128, rng=np.random.default_rng(epoch))
+    order = np.random.default_rng(epoch).permutation(len(data))
+    losses = []
+    for start in range(0, len(data), 128):
+        loss, grad = igd_loss(current, gc1, gc2, data[order[start:start + 128]])
+        losses.append(loss)
+        current = current.with_params(sgd_step(current.params, grad, opt, 0.05))
     print(f"  epoch {epoch}: mean loss {np.mean(losses):.4f}")
 final, _ = igd_loss(current, gc1, gc2, batch)
 print(f"group loss on the probe batch: {group_loss:.4f} -> {final:.4f}")

@@ -8,8 +8,7 @@ The library has six layers:
   mixup, and the binary dataset file format;
 * ``weighting`` -- class-wise soft centroids and all source-relevance
   weighting schemes (linear baseline, temperature softmax, group renorm);
-* ``discrepancy`` -- classifier-disagreement losses on unlabeled target data
-  and the adversarial extractor update;
+* ``discrepancy`` -- classifier-disagreement losses on unlabeled target data;
 * ``federation`` -- the round-based protocol orchestrator plus baselines,
   communication and runtime accounting, and the cross-domain matrix tool;
 * ``experiment`` / ``cli`` -- config-driven experiment runner and metrics CSV
@@ -70,7 +69,6 @@ from .weighting import (
 from .discrepancy import (
     GroupClassifier,
     GroupPartition,
-    adversarial_update,
     away_from_kinks,
     enumerate_partitions,
     full_pairwise_loss,

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .nn import Classifier, FeatureExtractor, OptimizerState, ParamVec, sgd_step
+from .errors import ConfigError
+from .nn import Classifier, FeatureExtractor, ParamVec
 
 
 @dataclass(frozen=True)
@@ -201,31 +201,3 @@ def away_from_kinks(extractor: FeatureExtractor, gc1: GroupClassifier,
         return False
     diff = gc1.predict(acts[-1]) - gc2.predict(acts[-1])
     return bool(np.abs(diff).min() >= diff_margin)
-
-
-def adversarial_update(extractor: FeatureExtractor, gc1: GroupClassifier,
-                       gc2: GroupClassifier, target_data: np.ndarray,
-                       steps: int, opt: OptimizerState, lr: float,
-                       batch_size: int = 128,
-                       rng: np.random.Generator | None = None,
-                       ) -> tuple[FeatureExtractor, list[float]]:
-    """Minimize the group disagreement over the target set, updating only the
-    extractor: `steps` epochs of minibatch SGD. Returns the updated extractor
-    and the per-batch loss trace."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    data = np.atleast_2d(np.asarray(target_data, dtype=np.float64))
-    n = data.shape[0]
-    losses = []
-    for _ in range(steps):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = data[order[start : start + batch_size]]
-            loss, grad = igd_loss(extractor, gc1, gc2, batch)
-            if not np.isfinite(loss):
-                raise NumericError("non-finite group-discrepancy loss")
-            losses.append(loss)
-            extractor = extractor.with_params(sgd_step(extractor.params, grad, opt, lr))
-    return extractor, losses

@@ -22,6 +22,7 @@ class NumericError(GalaError):
     """Non-finite values encountered; aborts the run with diagnostics."""
 
     def __init__(self, message, round_index=None, client=None):
+        self.reason = message  # the message without the round and client
         if round_index is not None:
             message += f" (round {round_index})"
         if client is not None:

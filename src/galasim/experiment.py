@@ -13,6 +13,7 @@ import configparser
 import csv
 import hashlib
 import itertools
+import logging
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -31,8 +32,10 @@ from .domains import (
     load_dataset,
     save_dataset,
 )
-from .errors import ConfigError, NumericError, ParseError
+from .errors import ConfigError, IntegrityError, NumericError, ParseError
 from .federation import ProtocolConfig, RoundRecord, run_protocol
+
+log = logging.getLogger(__name__)
 
 _EXPERIMENT_KEYS = {"name", "target", "output_dir", "num_seeds"}
 _GAUSSIAN_KEYS = {"generator", "num_classes", "samples_per_class", "input_dim",
@@ -293,14 +296,18 @@ def emit_metrics(records: Sequence[RoundRecord], path) -> None:
 
 def build_domains(spec: ExperimentSpec, cache_dir: Optional[Path] = None
                   ) -> dict[str, DomainDataset]:
-    """Generate every suite domain, reusing a content-hash disk cache."""
+    """Generate every suite domain, reusing a content-hash disk cache. A
+    cached file that fails its checksum is rebuilt and rewritten."""
     out = {}
     for entry in spec.domains:
         digest = hashlib.sha256(entry.content_key().encode()).hexdigest()[:16]
         cached = cache_dir / f"{digest}.gdsd" if cache_dir else None
         if cached is not None and cached.exists():
-            out[entry.name] = load_dataset(cached)
-            continue
+            try:
+                out[entry.name] = load_dataset(cached)
+                continue
+            except IntegrityError as exc:
+                log.warning("rebuilding domain %r: corrupt cache file: %s", entry.name, exc)
         dataset = entry.build()
         if cached is not None:
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -417,16 +424,21 @@ def _final_accuracy_from_csv(path: Path) -> float:
 
 
 def _write_summary(path: Path, run_index: list) -> None:
-    """Mean and population std of final-round accuracy per configuration."""
+    """Mean and population std of final-round accuracy per configuration;
+    the file is replaced only once complete."""
     by_label: dict[str, list[float]] = {}
     for label, _, csv_path in run_index:
         if Path(csv_path).exists():
             by_label.setdefault(label, []).append(_final_accuracy_from_csv(Path(csv_path)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["config", "num_runs", "mean_final_acc", "std_final_acc"])
-        for label in sorted(by_label):
-            finals = np.asarray(by_label[label])
-            writer.writerow([label, finals.size,
-                             repr(float(finals.mean())),
-                             repr(float(finals.std()))])
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["config", "num_runs", "mean_final_acc", "std_final_acc"])
+            for label in sorted(by_label):
+                finals = np.asarray(by_label[label])
+                writer.writerow([label, finals.size,
+                                 repr(float(finals.mean())),
+                                 repr(float(finals.std()))])
+
+    _atomic_write(path, write)

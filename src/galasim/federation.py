@@ -37,6 +37,8 @@ from .nn import (
     Classifier,
     FeatureExtractor,
     OptimizerState,
+    ParamStack,
+    Scratch,
     cross_entropy_grad,
     head_grad,
     lr_schedule,
@@ -62,6 +64,16 @@ _SERVER_NODE = 1_000_001
 
 # nominal client compute rate for the deterministic wall-time model
 MACS_PER_MS = 1.0e6
+
+# Most parameter bytes (extractor plus classifier, float64) one lockstep
+# stack may hold. A stack keeps every member's activations, deltas, gradients
+# and momentum alive at once, so its size trades per-step Python work against
+# peak memory. Measured on the benchmark workloads: twelve 2.8k-parameter
+# Gaussian clients per stack raised gala_n12's peak RSS from 42.8 to 47.7 MB,
+# four to 44.0 MB and three (this cap, as fast as four) to 43.7 MB; five
+# 51k-parameter glyph models per stack raised sweep_glyph's from about 132 to
+# 144 MB, so those train one at a time.
+STACK_BYTES = 80 * 1024
 
 
 @dataclass
@@ -155,43 +167,93 @@ def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _train_supervised(extractor: FeatureExtractor, classifier: Classifier,
-                      dataset: DomainDataset, epochs: int, batch_size: int,
-                      lr: float, momentum: float, weight_decay: float,
-                      rng: np.random.Generator, mixup_alpha: Optional[float] = None,
-                      update_extractor: bool = True):
-    """Minibatch cross-entropy SGD; returns (extractor, classifier, mean loss).
+def _train_lockstep(cfg: ProtocolConfig, lr: float, extractor: FeatureExtractor,
+                    classifiers: Sequence[Classifier], datasets: Sequence[DomainDataset],
+                    rngs: Sequence[np.random.Generator], round_index: Optional[int] = None,
+                    update_extractor: bool = True):
+    """Minibatch cross-entropy SGD of several clients, one step per batch
+    for a whole stack of them.
 
-    With update_extractor=False only the classifier head trains: each batch
-    goes through the frozen extractor forward and no extractor gradient is
-    formed."""
-    x = dataset.samples.astype(np.float64)
-    y = dataset.require_labels()
-    opt_g = OptimizerState.for_params(extractor.params, lr, momentum, weight_decay) \
-        if update_extractor else None
-    opt_f = OptimizerState.for_params(classifier.params, lr, momentum, weight_decay)
+    Client k starts from `extractor` and classifiers[k] and trains on
+    datasets[k] for cfg.local_epochs, drawing its batch order and mixup from
+    rngs[k] alone, so each result is bit-identical to training that client
+    by itself. Clients with equal n_samples share a batch schedule and form
+    stacks of at most STACK_BYTES. With update_extractor=False only the heads
+    train, on features of the frozen shared extractor.
+
+    Returns (extractors, classifiers, mean losses), one entry per client. A
+    non-finite loss, gradient or parameter raises NumericError naming the
+    lowest-index client of the first step that failed.
+    """
+    per_client = 8 * (extractor.params.size + classifiers[0].params.size)
+    cap = max(1, STACK_BYTES // per_client)
+    by_size: dict[int, list[int]] = {}
+    for k, d in enumerate(datasets):
+        by_size.setdefault(d.n_samples, []).append(k)
+    extractors, heads = [extractor] * len(datasets), list(classifiers)
+    losses = np.empty(len(datasets))
+    scratch = Scratch()
+    for members in by_size.values():
+        for start in range(0, len(members), cap):
+            stack = members[start : start + cap]
+            try:
+                g, f, loss = _train_stack(cfg, lr, extractor,
+                                          [classifiers[k] for k in stack],
+                                          [datasets[k] for k in stack],
+                                          [rngs[k] for k in stack], update_extractor,
+                                          scratch)
+            except NumericError as exc:
+                raise NumericError(exc.reason, round_index=round_index,
+                                   client=datasets[stack[exc.client]].name) from exc
+            for row, k in enumerate(stack):
+                if update_extractor:
+                    extractors[k] = extractor.with_params(g.params.row(row))
+                heads[k] = f.with_params(f.params.row(row))
+                losses[k] = loss[row]
+    return extractors, heads, losses
+
+
+def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extractor,
+                 scratch):
+    """_train_lockstep on clients of one n_samples; a NumericError's
+    `client` is a row of the stack."""
+    n, size, num_classes = len(datasets), datasets[0].n_samples, classifiers[0].num_classes
+    dim = datasets[0].feature_dim
+    onehots = [_onehot(d.require_labels(), num_classes) for d in datasets]
+    if update_extractor:
+        extractor = extractor.with_params(ParamStack.of([extractor.params] * n))
+        opt_g = OptimizerState.for_params(extractor.params, lr, cfg.momentum,
+                                          cfg.weight_decay)
+    classifier = classifiers[0].with_params(ParamStack.of([c.params for c in classifiers]))
+    opt_f = OptimizerState.for_params(classifier.params, lr, cfg.momentum, cfg.weight_decay)
     losses = []
-    for _ in range(epochs):
-        order = rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = x[idx], y[idx]
-            if mixup_alpha is not None and idx.size >= 2:
-                xb, targets = mixup(xb, _onehot(yb, classifier.num_classes),
-                                    mixup_alpha, rng)
-            else:
-                targets = yb
+    for _ in range(cfg.local_epochs):
+        orders = [rng.permutation(size) for rng in rngs]
+        for start in range(0, size, cfg.batch_size):
+            idx = [order[start : start + cfg.batch_size] for order in orders]
+            xb = scratch.take("x", (n, idx[0].size, dim))
+            targets = scratch.take("y", (n, idx[0].size, num_classes))
+            for k in range(n):
+                xb[k] = datasets[k].samples[idx[k]]  # float32 to float64 is exact
+                targets[k] = onehots[k][idx[k]]
+                if cfg.mixup_alpha is not None and idx[k].size >= 2:
+                    xb[k], targets[k] = mixup(xb[k], targets[k], cfg.mixup_alpha, rngs[k])
             if update_extractor:
-                loss, grad_g, grad_f = cross_entropy_grad(extractor, classifier, xb, targets)
+                loss, grad_g, grad_f = cross_entropy_grad(extractor, classifier, xb, targets,
+                                                          scratch)
             else:
-                loss, grad_f, _ = head_grad(classifier, extractor.forward(xb), targets)
-            if not np.isfinite(loss):
-                raise NumericError("non-finite training loss")
+                features = extractor.forward_trace(xb, scratch)[0][-1]
+                loss, grad_f, _ = head_grad(classifier, features, targets)
+            finite = np.isfinite(loss)
+            if not finite.all():
+                raise NumericError("non-finite training loss",
+                                   client=int(np.flatnonzero(~finite)[0]))
             losses.append(loss)
             if update_extractor:
                 extractor = extractor.with_params(sgd_step(extractor.params, grad_g, opt_g, lr))
             classifier = classifier.with_params(sgd_step(classifier.params, grad_f, opt_f, lr))
-    return extractor, classifier, float(np.mean(losses))
+    per_batch = np.stack(losses, axis=1)  # row k: client k's losses in batch order
+    return extractor, classifier, [float(np.mean(row)) for row in per_batch]
 
 
 # ---------------------------------------------------------------------------
@@ -352,35 +414,17 @@ def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 else mdmgb_baseline(sims)
 
         # parallel source training from the broadcast model
-        trained = []
-        source_losses = np.empty(n)
-        for i, src in enumerate(sources):
-            try:
-                g_i, f_i, loss_i = _train_supervised(
-                    extractor.with_params(extractor.params.copy()),
-                    classifier.with_params(classifier.params.copy()),
-                    src, cfg.local_epochs, cfg.batch_size, lr,
-                    cfg.momentum, cfg.weight_decay,
-                    _rng(cfg.seed, t, i, 1), cfg.mixup_alpha)
-            except NumericError as exc:
-                raise NumericError(str(exc), round_index=t, client=src.name) from exc
-            trained.append((g_i, f_i))
-            source_losses[i] = loss_i
+        trained_g, trained_f, source_losses = _train_lockstep(
+            cfg, lr, extractor, [classifier] * n, sources,
+            [_rng(cfg.seed, t, i, 1) for i in range(n)], round_index=t)
 
         # weighted extractor aggregation, then frozen-extractor fine-tune
         aggregated = extractor.with_params(
-            weighted_mean([g.params for g, _ in trained], weights))
-        finetuned = []
-        for i, src in enumerate(sources):
-            try:
-                _, f_i, _ = _train_supervised(
-                    aggregated, trained[i][1], src, cfg.local_epochs,
-                    cfg.batch_size, lr, cfg.momentum, cfg.weight_decay,
-                    _rng(cfg.seed, t, i, 2), cfg.mixup_alpha,
-                    update_extractor=False)
-            except NumericError as exc:
-                raise NumericError(str(exc), round_index=t, client=src.name) from exc
-            finetuned.append(f_i)
+            weighted_mean([g.params for g in trained_g], weights))
+        _, finetuned, _ = _train_lockstep(
+            cfg, lr, aggregated, trained_f, sources,
+            [_rng(cfg.seed, t, i, 2) for i in range(n)], round_index=t,
+            update_extractor=False)
 
         if cfg.protocol == "gala":
             partition = random_partition(n, seed=_partition_seed(cfg.seed, t))
@@ -456,15 +500,18 @@ def sample_pair(seed: int, round_index: int, n_sources: int) -> tuple[int, int]:
 
 
 def _igd_pass(cfg, extractor, gc1, gc2, target_view, lr, rng):
-    """One target stage: local_epochs of minibatch SGD on the group loss."""
+    """One target stage: local_epochs of minibatch SGD on the group loss,
+    updating only the extractor. Returns it and the mean batch loss."""
     opt = OptimizerState.for_params(extractor.params, lr, cfg.momentum, cfg.weight_decay)
-    data = target_view.samples.astype(np.float64)
+    data = target_view.samples
     losses = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(data.shape[0])
         for start in range(0, data.shape[0], cfg.batch_size):
-            batch = data[order[start : start + cfg.batch_size]]
+            batch = data[order[start : start + cfg.batch_size]].astype(np.float64)
             loss, grad = igd_loss(extractor, gc1, gc2, batch)
+            if not np.isfinite(loss):
+                raise NumericError("non-finite group-discrepancy loss")
             losses.append(loss)
             extractor = extractor.with_params(sgd_step(extractor.params, grad, opt, lr))
     return extractor, float(np.mean(losses))
@@ -473,13 +520,13 @@ def _igd_pass(cfg, extractor, gc1, gc2, target_view, lr, rng):
 def _full_pairwise_pass(cfg, extractor, classifiers, target_view, lr, rng):
     """Target stage minimizing the sum of all pair losses (quadratic cost)."""
     opt = OptimizerState.for_params(extractor.params, lr, cfg.momentum, cfg.weight_decay)
-    data = target_view.samples.astype(np.float64)
+    data = target_view.samples
     pairs = list(itertools.combinations(range(len(classifiers)), 2))
     losses = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(data.shape[0])
         for start in range(0, data.shape[0], cfg.batch_size):
-            batch = data[order[start : start + cfg.batch_size]]
+            batch = data[order[start : start + cfg.batch_size]].astype(np.float64)
             total = 0.0
             grad = extractor.params.zeros_like()
             for i, j in pairs:
@@ -518,24 +565,15 @@ def run_fact_idd(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
     for t in range(cfg.rounds):
         lr = lr_schedule(cfg.lr0, t, cfg.gamma)
         pair = sample_pair(cfg.seed, t, n)
-        trained = {}
+        pair_g, pair_f, pair_losses = _train_lockstep(
+            cfg, lr, extractor, [classifier] * 2, [sources[i] for i in pair],
+            [_rng(cfg.seed, t, i, 1) for i in pair], round_index=t)
         source_losses = np.full(n, np.nan)
-        for i in pair:
-            try:
-                g_i, f_i, loss_i = _train_supervised(
-                    extractor.with_params(extractor.params.copy()),
-                    classifier.with_params(classifier.params.copy()),
-                    sources[i], cfg.local_epochs, cfg.batch_size, lr,
-                    cfg.momentum, cfg.weight_decay,
-                    _rng(cfg.seed, t, i, 1), cfg.mixup_alpha)
-            except NumericError as exc:
-                raise NumericError(str(exc), round_index=t, client=sources[i].name) from exc
-            trained[i] = (g_i, f_i)
-            source_losses[i] = loss_i
+        source_losses[list(pair)] = pair_losses
 
         aggregated = extractor.with_params(weighted_mean(
-            [trained[i][0].params for i in pair], [0.5, 0.5]))
-        gc = [GroupClassifier([(i, trained[i][1])], np.array([1.0])) for i in pair]
+            [g.params for g in pair_g], [0.5, 0.5]))
+        gc = [GroupClassifier([(i, f)], np.array([1.0])) for i, f in zip(pair, pair_f)]
         try:
             extractor, idd_value = _igd_pass(cfg, aggregated, gc[0], gc[1],
                                              target_view, lr,
@@ -543,7 +581,7 @@ def run_fact_idd(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
         except NumericError as exc:
             raise NumericError(str(exc), round_index=t, client="target") from exc
         classifier = classifier.with_params(weighted_mean(
-            [trained[i][1].params for i in pair], [0.5, 0.5]))
+            [f.params for f in pair_f], [0.5, 0.5]))
 
         weights = np.zeros(n)
         weights[list(pair)] = 0.5
@@ -580,23 +618,11 @@ def run_source_only(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
     records = []
     for t in range(cfg.rounds):
         lr = lr_schedule(cfg.lr0, t, cfg.gamma)
-        g_list, f_list = [], []
-        source_losses = np.empty(n)
-        for i, src in enumerate(sources):
-            try:
-                g_i, f_i, loss_i = _train_supervised(
-                    extractor.with_params(extractor.params.copy()),
-                    classifier.with_params(classifier.params.copy()),
-                    src, cfg.local_epochs, cfg.batch_size, lr,
-                    cfg.momentum, cfg.weight_decay,
-                    _rng(cfg.seed, t, i, 1), cfg.mixup_alpha)
-            except NumericError as exc:
-                raise NumericError(str(exc), round_index=t, client=src.name) from exc
-            g_list.append(g_i.params)
-            f_list.append(f_i.params)
-            source_losses[i] = loss_i
-        extractor = extractor.with_params(weighted_mean(g_list, weights))
-        classifier = classifier.with_params(weighted_mean(f_list, weights))
+        g_list, f_list, source_losses = _train_lockstep(
+            cfg, lr, extractor, [classifier] * n, sources,
+            [_rng(cfg.seed, t, i, 1) for i in range(n)], round_index=t)
+        extractor = extractor.with_params(weighted_mean([g.params for g in g_list], weights))
+        classifier = classifier.with_params(weighted_mean([f.params for f in f_list], weights))
         acc = evaluate_accuracy(extractor, classifier, target_eval)
         records.append(RoundRecord(t, weights, None, source_losses, 0.0, acc,
                                    bytes_up, bytes_down, wall_client, wall_server, lr))
@@ -621,14 +647,13 @@ def run_oracle(cfg: ProtocolConfig, target: DomainDataset) -> RunResult:
     for t in range(cfg.rounds):
         lr = lr_schedule(cfg.lr0, t, cfg.gamma)
         try:
-            extractor, classifier, loss = _train_supervised(
-                extractor, classifier, target_train, cfg.local_epochs,
-                cfg.batch_size, lr, cfg.momentum, cfg.weight_decay,
-                _rng(cfg.seed, t, _TARGET_NODE, 1), cfg.mixup_alpha)
+            (extractor,), (classifier,), loss = _train_lockstep(
+                cfg, lr, extractor, [classifier], [target_train],
+                [_rng(cfg.seed, t, _TARGET_NODE, 1)])
         except NumericError as exc:
-            raise NumericError(str(exc), round_index=t, client="target") from exc
+            raise NumericError(exc.reason, round_index=t, client="target") from exc
         acc = evaluate_accuracy(extractor, classifier, target_eval)
-        records.append(RoundRecord(t, np.zeros(0), None, np.array([loss]), 0.0,
+        records.append(RoundRecord(t, np.zeros(0), None, loss, 0.0,
                                    acc, 0, 0, wall_client, wall_server, lr))
     return RunResult(records, extractor, classifier, {"protocol": "oracle"})
 
@@ -662,10 +687,9 @@ def similarity_matrix(domains: Sequence[DomainDataset], cfg: ProtocolConfig) -> 
     for i, (train_i, _) in enumerate(splits):
         extractor, classifier = _init_model(cfg, train_i.feature_dim, train_i.num_classes)
         for t in range(cfg.rounds):
-            extractor, classifier, _ = _train_supervised(
-                extractor, classifier, train_i, cfg.local_epochs,
-                cfg.batch_size, cfg.lr0, cfg.momentum, cfg.weight_decay,
-                _rng(cfg.seed, t, i, 5), cfg.mixup_alpha)
+            (extractor,), (classifier,), _ = _train_lockstep(
+                cfg, cfg.lr0, extractor, [classifier], [train_i],
+                [_rng(cfg.seed, t, i, 5)], round_index=t)
         for j, (_, test_j) in enumerate(splits):
             out[i, j] = evaluate_accuracy(extractor, classifier, test_j)
     return out

@@ -8,10 +8,11 @@ from galasim import (
     Classifier,
     ConfigError,
     FeatureExtractor,
+    DomainDataset,
     GroupClassifier,
-    OptimizerState,
+    NumericError,
     ParamVec,
-    adversarial_update,
+    ProtocolConfig,
     enumerate_partitions,
     full_pairwise_loss,
     group_predict,
@@ -19,6 +20,7 @@ from galasim import (
     igd_loss,
     random_partition,
 )
+from galasim.federation import _igd_pass
 from galasim.nn import finite_difference_grad, relative_grad_error, softmax
 
 
@@ -278,30 +280,50 @@ class TestConvexityBound:
             assert loss <= 1e-12
 
 
+def target_view(samples):
+    return DomainDataset("target", samples, None, num_classes=3)
+
+
+def stage_cfg(epochs, batch_size, momentum=0.9):
+    return ProtocolConfig(local_epochs=epochs, batch_size=batch_size,
+                          momentum=momentum, weight_decay=0.0)
+
+
 class TestAdversarialUpdate:
+    """The target stage's extractor update, federation._igd_pass."""
+
     def test_identical_groups_fixed_point(self):
         rng = np.random.default_rng(15)
         ext = random_extractor(rng)
         members = [random_classifier(rng) for _ in range(2)]
         gc = GroupClassifier(list(enumerate(members)), np.array([0.5, 0.5]))
-        opt = OptimizerState.for_params(ext.params, 0.01, momentum=0.9,
-                                        weight_decay=0.0)
-        out, losses = adversarial_update(ext, gc, gc, rng.standard_normal((8, 4)),
-                                         steps=2, opt=opt, lr=0.01, batch_size=4,
-                                         rng=np.random.default_rng(0))
+        out, mean_loss = _igd_pass(stage_cfg(2, 4), ext, gc, gc,
+                                   target_view(rng.standard_normal((8, 4))), 0.01,
+                                   np.random.default_rng(0))
         assert np.array_equal(out.params.values, ext.params.values)
-        assert all(l == 0.0 for l in losses)
+        assert mean_loss == 0.0  # every batch loss is 0: they are nonnegative
 
     def test_zero_lr_fixed_point(self):
         rng = np.random.default_rng(16)
         ext = random_extractor(rng)
         gc1 = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
         gc2 = GroupClassifier([(1, random_classifier(rng))], np.array([1.0]))
-        opt = OptimizerState.for_params(ext.params, 0.0, weight_decay=0.0)
-        out, _ = adversarial_update(ext, gc1, gc2, rng.standard_normal((8, 4)),
-                                    steps=1, opt=opt, lr=0.0, batch_size=8,
-                                    rng=np.random.default_rng(0))
+        out, _ = _igd_pass(stage_cfg(1, 8), ext, gc1, gc2,
+                           target_view(rng.standard_normal((8, 4))), 0.0,
+                           np.random.default_rng(0))
         assert np.array_equal(out.params.values, ext.params.values)
+
+    def test_non_finite_loss_raises(self):
+        rng = np.random.default_rng(17)
+        ext = random_extractor(rng)
+        ext.params.values[:] = 1e300  # the forward pass overflows to inf - inf
+        gc1 = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
+        gc2 = GroupClassifier([(1, random_classifier(rng))], np.array([1.0]))
+        with pytest.raises(NumericError, match="group-discrepancy loss"), \
+                np.errstate(all="ignore"):
+            _igd_pass(stage_cfg(1, 8), ext, gc1, gc2,
+                      target_view(rng.standard_normal((8, 4))), 0.01,
+                      np.random.default_rng(0))
 
     def test_full_batch_step_usually_decreases_loss(self):
         decreases = 0
@@ -314,13 +336,11 @@ class TestAdversarialUpdate:
                                   np.array([0.5, 0.5]))
             gc2 = GroupClassifier([(2, members[2]), (3, members[3])],
                                   np.array([0.5, 0.5]))
-            x = rng.standard_normal((16, 4))
+            target = target_view(rng.standard_normal((16, 4)))
+            x = target.samples
             before, _ = igd_loss(ext, gc1, gc2, x)
-            opt = OptimizerState.for_params(ext.params, 1e-3, momentum=0.0,
-                                            weight_decay=0.0)
-            out, _ = adversarial_update(ext, gc1, gc2, x, steps=1, opt=opt,
-                                        lr=1e-3, batch_size=16,
-                                        rng=np.random.default_rng(0))
+            out, _ = _igd_pass(stage_cfg(1, 16, momentum=0.0), ext, gc1, gc2,
+                               target, 1e-3, np.random.default_rng(0))
             after, _ = igd_loss(out, gc1, gc2, x)
             if after < before:
                 decreases += 1

@@ -74,7 +74,7 @@ class TestGaussianDomain:
         # linear-model oracle: training on the unshifted domain must score
         # lower on a strongly shifted copy than on its own held-out split
         from galasim import Classifier, FeatureExtractor, ProtocolConfig
-        from galasim.federation import _train_supervised, evaluate_accuracy
+        from galasim.federation import _train_lockstep, evaluate_accuracy
 
         base = gen_gaussian_domain(3, 60, 4, seed=11)
         shifted = gen_gaussian_domain(
@@ -84,9 +84,10 @@ class TestGaussianDomain:
         rng = np.random.default_rng(0)
         ext = FeatureExtractor.init(4, (16,), 8, rng)
         clf = Classifier.init(8, 3, rng)
+        cfg = ProtocolConfig(local_epochs=1, batch_size=32, momentum=0.9,
+                             weight_decay=0.0)
         for _ in range(30):
-            ext, clf, _ = _train_supervised(ext, clf, train, 1, 32, 0.05, 0.9,
-                                            0.0, rng)
+            (ext,), (clf,), _ = _train_lockstep(cfg, 0.05, ext, [clf], [train], [rng])
         own = evaluate_accuracy(ext, clf, test)
         cross = evaluate_accuracy(ext, clf, shifted)
         assert own > cross

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from galasim import (
     run_experiment,
     run_gala,
 )
+from galasim import load_dataset
 from galasim.experiment import build_domains, _sweep_grid
 
 CONFIG = """
@@ -291,6 +293,30 @@ class TestRunExperiment:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["tau=3.0"]
 
+    def test_summary_write_failing_midway_keeps_previous_summary(self, tmp_path,
+                                                                  monkeypatch):
+        spec = parse_config(write_config(tmp_path))
+        assert run_experiment(spec) == 0
+        summary = tmp_path / "out" / "summary.csv"
+        before = summary.read_bytes()
+        real_writer = csv.writer
+
+        class FailingAfterHeader:
+            def __init__(self, fh, **kwargs):
+                self.inner, self.rows = real_writer(fh, **kwargs), 0
+
+            def writerow(self, row):
+                if self.rows == 1:
+                    raise OSError("disk full")
+                self.rows += 1
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailingAfterHeader)
+        assert run_experiment(parse_config(write_config(tmp_path))) == 4
+        assert summary.read_bytes() == before
+        assert sorted(p.name for p in summary.parent.iterdir()) == \
+            ["cache", "runs", "summary.csv"]
+
     def test_oracle_metrics_have_no_weight_columns(self, tmp_path):
         from galasim import run_oracle
 
@@ -313,3 +339,18 @@ class TestRunExperiment:
         second = build_domains(spec, cache_dir=cache)
         for name in first:
             assert first[name] == second[name]
+
+    def test_corrupt_cached_domain_is_rebuilt(self, tmp_path, caplog):
+        spec = parse_config(write_config(tmp_path))
+        cache = tmp_path / "out" / "cache"
+        fresh = build_domains(spec, cache_dir=cache)
+        victim = sorted(cache.glob("*.gdsd"))[0]
+        blob = bytearray(victim.read_bytes())
+        blob[len(blob) // 2] ^= 0x01  # a feature byte: the checksum no longer matches
+        victim.write_bytes(bytes(blob))
+        with caplog.at_level(logging.WARNING, logger="galasim.experiment"):
+            rebuilt = build_domains(spec, cache_dir=cache)
+        assert rebuilt == fresh
+        assert any("corrupt cache file" in r.getMessage() for r in caplog.records)
+        reloaded = load_dataset(victim)
+        assert any(reloaded == d for d in fresh.values())

@@ -2,10 +2,15 @@
 identity, weighting symmetry, communication accounting, and the
 cross-domain matrix."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galasim import (
+    Classifier,
     ConfigError,
     DataError,
     NumericError,
@@ -21,7 +26,8 @@ from galasim import (
     similarity_matrix,
     weighted_mean,
 )
-from galasim.federation import (_init_model, _train_supervised, evaluate_accuracy,
+from galasim import federation
+from galasim.federation import (_init_model, _train_lockstep, evaluate_accuracy,
                                 sample_pair)
 
 
@@ -139,14 +145,34 @@ class TestRunGala:
         assert info.value.round_index == 0
         assert info.value.client == "server"
 
+    @pytest.mark.parametrize("run", [run_gala, run_source_only])
+    @pytest.mark.parametrize("poisoned", [(2,), (1, 3)])
+    def test_source_training_error_names_the_client(self, run, poisoned):
+        # huge features with shuffled labels: the source cannot be fit, so
+        # each step's update grows until its forward pass overflows in the
+        # first epoch; the lowest poisoned source is named
+        sources, target = small_suite()
+        for i in poisoned:
+            src = sources[i]
+            labels = np.random.default_rng(0).permutation(src.labels)
+            sources[i] = type(src)(f"poisoned{i}", src.samples * np.float32(3e37),
+                                   labels, src.num_classes)
+        protocol = "gala" if run is run_gala else "source_only"
+        with pytest.raises(NumericError) as info, np.errstate(all="ignore"):
+            run(small_cfg(protocol=protocol, rounds=1, batch_size=16, seed=2),
+                sources, target)
+        assert info.value.round_index == 0
+        assert info.value.client == f"poisoned{poisoned[0]}"
+
     @pytest.mark.parametrize("mixup_alpha", [None, 0.4])
     def test_frozen_fine_tune_leaves_extractor_bytes(self, mixup_alpha):
         sources, _ = small_suite()
-        extractor, classifier = _init_model(small_cfg(), 4, 3)
+        cfg = small_cfg(local_epochs=2, batch_size=16, mixup_alpha=mixup_alpha)
+        extractor, classifier = _init_model(cfg, 4, 3)
         before = extractor.params.values.tobytes()
-        g, f, _ = _train_supervised(extractor, classifier, sources[0], 2, 16,
-                                    0.05, 0.9, 5e-4, np.random.default_rng(0),
-                                    mixup_alpha, update_extractor=False)
+        (g,), (f,), _ = _train_lockstep(cfg, 0.05, extractor, [classifier], sources[:1],
+                                        [np.random.default_rng(0)],
+                                        update_extractor=False)
         assert g.params.values.tobytes() == before
         assert not np.array_equal(f.params.values, classifier.params.values)
 
@@ -156,6 +182,55 @@ class TestRunGala:
                           sources, target)
         assert result.records[0].partition is None
         assert result.records[0].igd_loss >= 0.0
+
+
+def assert_lockstep_matches_one_at_a_time(cfg, datasets, seed, update_extractor):
+    """Training all clients together gives each client's bytes and loss as
+    training it alone, as a stack of one."""
+    input_dim = datasets[0].feature_dim
+    extractor, _ = _init_model(cfg, input_dim, 3)
+    heads = [Classifier.init(cfg.feature_dim, 3, np.random.default_rng((seed, i)))
+             for i in range(len(datasets))]
+
+    def rngs():
+        return [np.random.default_rng((seed, i, 1)) for i in range(len(datasets))]
+
+    g_all, f_all, losses = _train_lockstep(cfg, 0.05, extractor, heads, datasets, rngs(),
+                                           update_extractor=update_extractor)
+    for i, (d, rng) in enumerate(zip(datasets, rngs())):
+        (g,), (f,), (loss,) = _train_lockstep(cfg, 0.05, extractor, heads[i:i + 1], [d],
+                                              [rng], update_extractor=update_extractor)
+        np.testing.assert_array_equal(g_all[i].params.values, g.params.values)
+        np.testing.assert_array_equal(f_all[i].params.values, f.params.values)
+        assert losses[i] == loss
+
+
+class TestLockstepTraining:
+    @settings(max_examples=30, deadline=None)
+    @given(per_class=st.lists(st.sampled_from([8, 9, 12]), min_size=1, max_size=5),
+           batch_size=st.sampled_from([4, 7, 16]),
+           mixup=st.booleans(), update_extractor=st.booleans(),
+           stack_cap=st.sampled_from([1, 2, 3, 50]), seed=st.integers(0, 2**16))
+    def test_lockstep_equals_one_at_a_time(self, per_class, batch_size, mixup,
+                                           update_extractor, stack_cap, seed):
+        # unequal n_samples split the clients into groups; stack_cap chunks them
+        cfg = small_cfg(local_epochs=2, batch_size=batch_size,
+                        mixup_alpha=0.4 if mixup else None)
+        datasets = [gen_gaussian_domain(3, k, 4, seed=seed + i, name=f"c{i}")
+                    for i, k in enumerate(per_class)]
+        per_client = 8 * (16 * 4 + 16 + 8 * 16 + 8 + 3 * 8 + 3)
+        with mock.patch.object(federation, "STACK_BYTES", stack_cap * per_client):
+            assert_lockstep_matches_one_at_a_time(cfg, datasets, seed, update_extractor)
+
+    @pytest.mark.parametrize("update_extractor", [True, False])
+    def test_wide_models_run_one_per_stack(self, update_extractor):
+        # a 768-input model is over the byte budget, so each client is its own stack
+        cfg = small_cfg(local_epochs=1, batch_size=16, mixup_alpha=0.2,
+                        hidden_dims=(64,), feature_dim=32)
+        extractor, classifier = _init_model(cfg, 768, 3)
+        assert 8 * (extractor.params.size + classifier.params.size) > federation.STACK_BYTES
+        datasets = [gen_gaussian_domain(3, 10, 768, seed=i, name=f"w{i}") for i in range(3)]
+        assert_lockstep_matches_one_at_a_time(cfg, datasets, 5, update_extractor)
 
 
 class TestRunFact:
