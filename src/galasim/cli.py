@@ -4,7 +4,8 @@
     galasim simmatrix <config> [--out DIR]
     galasim gradcheck [--trials N] [--epsilon E] [--seed N]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric abort, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numeric abort (or, for `run`,
+any failed run of the sweep), 4 I/O error.
 """
 
 from __future__ import annotations

@@ -153,7 +153,7 @@ def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassi
         raise ValueError("igd_loss: empty batch")
     if gc1.input_dim != extractor.output_dim or gc2.input_dim != extractor.output_dim:
         raise ConfigError("group classifier feature dim does not match extractor output")
-    acts, preacts = extractor.forward_trace(x)
+    acts = extractor.forward_trace(x)
     features = acts[-1]
     q1 = gc1._member_probs(features)  # each member's softmax, computed once
     q2 = gc2._member_probs(features)
@@ -163,7 +163,7 @@ def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassi
     sign = np.sign(diff) / batch  # sign(0) = 0 keeps identical groups a fixed point
     dfeat = _group_backprop_dfeatures(gc1, q1, sign)
     dfeat += _group_backprop_dfeatures(gc2, q2, -sign)
-    grad = extractor.backprop(acts, preacts, dfeat)
+    grad = extractor.backprop(acts, dfeat)
     return loss, grad
 
 
@@ -196,8 +196,10 @@ def away_from_kinks(extractor: FeatureExtractor, gc1: GroupClassifier,
     the L1 kink at zero, and no ReLU pre-activation within relu_margin of
     zero. Gradient checks must resample configurations that fail this."""
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    acts, preacts = extractor.forward_trace(x)
-    if min(np.abs(z).min() for z in preacts) < relu_margin:
+    acts = extractor.forward_trace(x)
+    # layer i's pre-activation, recomputed from its input acts[i]
+    if min(np.abs(extractor.layer_preact(i, a)).min()
+           for i, a in enumerate(acts[:-1])) < relu_margin:
         return False
     diff = gc1.predict(acts[-1]) - gc2.predict(acts[-1])
     return bool(np.abs(diff).min() >= diff_margin)

@@ -210,16 +210,6 @@ def _segment_masks(canvas: int) -> np.ndarray:
     return masks
 
 
-def _shift2d(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Translate with zero fill (content moves by (+dy, +dx))."""
-    out = np.zeros_like(img)
-    h, w = img.shape
-    ys, yd = (0, dy) if dy >= 0 else (-dy, 0)
-    xs, xd = (0, dx) if dx >= 0 else (-dx, 0)
-    out[yd:h - ys, xd:w - xs] = img[ys:h - yd, xs:w - xd]
-    return out
-
-
 def gen_glyph_domain(num_classes: int, samples_per_class: int, canvas: int,
                      channels: int = 1, seed: int = 0,
                      name: Optional[str] = None) -> DomainDataset:
@@ -237,21 +227,23 @@ def gen_glyph_domain(num_classes: int, samples_per_class: int, canvas: int,
         raise ValueError("channels must be 1 or 3")
     masks = _segment_masks(canvas)  # raises for canvas < 8
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x617F)))
-    glyphs = np.zeros((num_classes, canvas, canvas))
-    for c in range(num_classes):
-        bits = (c + 1) >> np.arange(_SEGMENT_COUNT) & 1
-        glyphs[c] = np.clip(masks[bits.astype(bool)].sum(axis=0), 0, 1)
+    bits = (np.arange(1, num_classes + 1)[:, None] >> np.arange(_SEGMENT_COUNT)) & 1
+    glyphs = (bits.astype(bool)[:, :, None, None] & masks).any(axis=1).astype(np.float64)
 
     n = num_classes * samples_per_class
     labels = np.repeat(np.arange(num_classes), samples_per_class)
     shifts = rng.integers(-1, 2, size=(n, 2))
     intensity = rng.uniform(0.75, 1.0, size=n)
     noise = rng.normal(0.0, 0.03, size=(n, canvas, canvas))
-    samples = np.empty((n, channels, canvas, canvas), dtype=np.float32)
-    for i in range(n):
-        img = _shift2d(glyphs[labels[i]], int(shifts[i, 0]), int(shifts[i, 1]))
-        img = np.clip(img * intensity[i] + noise[i], 0.0, 1.0)
-        samples[i] = img  # broadcast over channels
+    # translate by (dy, dx) with zero fill: window (1 - dy, 1 - dx) of the glyph
+    # padded by one zero pixel, all samples in one gather
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(glyphs, ((0, 0), (1, 1), (1, 1))), (canvas, canvas), axis=(1, 2))
+    img = windows[labels, 1 - shifts[:, 0], 1 - shifts[:, 1]]
+    img *= intensity[:, None, None]
+    img += noise
+    np.clip(img, 0.0, 1.0, out=img)
+    samples = np.repeat(img.astype(np.float32)[:, None], channels, axis=1)
     if name is None:
         name = f"glyph_c{num_classes}_v{canvas}_s{seed}"
     return DomainDataset(name, samples.reshape(n, -1), labels, num_classes,
@@ -264,41 +256,50 @@ def gen_glyph_domain(num_classes: int, samples_per_class: int, canvas: int,
 # transforms
 
 
-def _smooth_texture(rng: np.random.Generator, canvas: int) -> np.ndarray:
-    """Sum of 3 low-frequency sinusoid gratings, normalized to [0, 1]."""
-    yy, xx = np.mgrid[0:canvas, 0:canvas].astype(np.float64)
-    tex = np.zeros((canvas, canvas))
-    for _ in range(3):
-        fx, fy = rng.uniform(0.5, 2.0, size=2)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        amp = rng.uniform(0.5, 1.0)
-        tex += amp * np.sin(2.0 * np.pi * (fx * xx + fy * yy) / canvas + phase)
-    tex -= tex.min()
-    peak = tex.max()
-    return tex / peak if peak > 0 else tex
-
-
 def apply_background_overlay(d: DomainDataset, noise_amplitude: float, seed: int = 0) -> DomainDataset:
     """Blend each raster with a seeded smooth texture:
-    out = clip(max(glyph, texture * amplitude), 0, 1). Labels unchanged."""
+    out = clip(max(glyph, texture * amplitude), 0, 1). Labels unchanged.
+
+    Each (sample, channel) texture is a sum of 3 low-frequency sinusoid
+    gratings normalized to [0, 1]; its draws come in the order fx, fy,
+    phase, amp per grating, texture after texture.
+    """
     if not 0.0 < noise_amplitude <= 1.0:
         raise ValueError("noise_amplitude must be in (0, 1]")
-    imgs = d.rasters().astype(np.float64)
+    imgs = d.rasters()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xB6)))
     n, ch, s, _ = imgs.shape
-    out = np.empty_like(imgs)
-    for i in range(n):
-        for k in range(ch):
-            tex = _smooth_texture(rng, s)
-            out[i, k] = np.clip(np.maximum(imgs[i, k], tex * noise_amplitude), 0.0, 1.0)
-    return d._replace(out.reshape(n, -1).astype(np.float32), d.labels,
+    u = rng.random((n, ch, 3, 4))[..., None, None]
+    # Generator.uniform(low, high) computes low + (high - low) * u
+    fx, fy = 0.5 + 1.5 * u[:, :, :, 0], 0.5 + 1.5 * u[:, :, :, 1]
+    phase = 2.0 * np.pi * u[:, :, :, 2]
+    amp = 0.5 + 0.5 * u[:, :, :, 3]
+    yy, xx = np.mgrid[0:s, 0:s].astype(np.float64)
+    tex, arg, term = np.zeros((3, n, ch, s, s))
+    for g in range(3):
+        np.multiply(fx[:, :, g], xx, out=arg)
+        arg += np.multiply(fy[:, :, g], yy, out=term)
+        arg *= 2.0 * np.pi
+        arg /= s
+        arg += phase[:, :, g]
+        np.sin(arg, out=arg)
+        arg *= amp[:, :, g]
+        tex += arg
+    tex -= tex.min(axis=(2, 3), keepdims=True)
+    peak = tex.max(axis=(2, 3), keepdims=True)
+    np.divide(tex, peak, out=tex, where=peak > 0)
+    tex *= noise_amplitude
+    np.maximum(imgs, tex, out=tex)  # float32 to float64 is exact
+    np.clip(tex, 0.0, 1.0, out=tex)
+    return d._replace(tex.reshape(n, -1).astype(np.float32), d.labels,
                       f"background_overlay(amp={noise_amplitude},seed={seed})")
 
 
 def bilinear_resize(img: np.ndarray, out_size: int) -> np.ndarray:
-    """Bilinear resample to out_size x out_size with corner-aligned sampling
-    (out_size == input size reproduces the input exactly)."""
-    s = img.shape[0]
+    """Bilinear resample the last two (square) axes to out_size x out_size with
+    corner-aligned sampling; leading axes are batch axes (out_size == input
+    size reproduces the input exactly)."""
+    s = img.shape[-1]
     if out_size == s:
         return img.copy()
     if out_size == 1:
@@ -308,8 +309,9 @@ def bilinear_resize(img: np.ndarray, out_size: int) -> np.ndarray:
     lo = np.floor(coords).astype(int)
     hi = np.minimum(lo + 1, s - 1)
     frac = coords - lo
-    top = img[lo][:, lo] * (1 - frac)[None, :] + img[lo][:, hi] * frac[None, :]
-    bot = img[hi][:, lo] * (1 - frac)[None, :] + img[hi][:, hi] * frac[None, :]
+    rows_lo, rows_hi = img[..., lo, :], img[..., hi, :]
+    top = rows_lo[..., lo] * (1 - frac) + rows_lo[..., hi] * frac
+    bot = rows_hi[..., lo] * (1 - frac) + rows_hi[..., hi] * frac
     return top * (1 - frac)[:, None] + bot * frac[:, None]
 
 
@@ -324,9 +326,7 @@ def apply_scale_recenter(d: DomainDataset, inner: int, seed: int = 0) -> DomainD
         raise ValueError("inner must be >= 1")
     off = (s - inner) // 2
     out = np.zeros_like(imgs)
-    for i in range(n):
-        for k in range(ch):
-            out[i, k, off:off + inner, off:off + inner] = bilinear_resize(imgs[i, k], inner)
+    out[:, :, off:off + inner, off:off + inner] = bilinear_resize(imgs, inner)
     return d._replace(out.reshape(n, -1).astype(np.float32), d.labels,
                       f"scale_recenter(inner={inner})")
 
@@ -340,12 +340,10 @@ def apply_channel_stack(d: DomainDataset, shift_px: int, seed: int = 0) -> Domai
         raise TypeError("channel_stack needs single-channel input")
     if not 1 <= shift_px < s / 2:
         raise ValueError("shift_px must satisfy 1 <= shift_px < canvas/2")
-    out = np.empty((n, 3, s, s), dtype=np.float32)
-    for i in range(n):
-        base = imgs[i, 0]
-        out[i, 0] = _shift2d(base, 0, shift_px)
-        out[i, 1] = base
-        out[i, 2] = _shift2d(base, 0, -shift_px)
+    out = np.zeros((n, 3, s, s), dtype=np.float32)
+    out[:, 0, :, shift_px:] = imgs[:, 0, :, :-shift_px]
+    out[:, 1] = imgs[:, 0]
+    out[:, 2, :, :-shift_px] = imgs[:, 0, :, shift_px:]
     return d._replace(out.reshape(n, -1), d.labels,
                       f"channel_stack(shift_px={shift_px})", raster_shape=(3, s, s))
 

@@ -32,7 +32,7 @@ from .domains import (
     load_dataset,
     save_dataset,
 )
-from .errors import ConfigError, IntegrityError, NumericError, ParseError
+from .errors import ConfigError, GalaError, IntegrityError, ParseError
 from .federation import ProtocolConfig, RoundRecord, run_protocol
 
 log = logging.getLogger(__name__)
@@ -42,6 +42,10 @@ _GAUSSIAN_KEYS = {"generator", "num_classes", "samples_per_class", "input_dim",
                   "center_scale", "seed", "transforms"}
 _GLYPH_KEYS = {"generator", "num_classes", "samples_per_class", "canvas", "channels", "seed", "transforms"}
 _PROTOCOL_FIELDS = {f.name: f for f in fields(ProtocolConfig)}
+# Version of the generators and the GDSD format behind cached domains. It is
+# part of the cache digest: bump it when a change alters the bytes a domain
+# entry builds or saves, so stale cache files are rebuilt, not reused.
+_DOMAIN_CACHE_VERSION = 1
 
 
 @dataclass
@@ -296,11 +300,13 @@ def emit_metrics(records: Sequence[RoundRecord], path) -> None:
 
 def build_domains(spec: ExperimentSpec, cache_dir: Optional[Path] = None
                   ) -> dict[str, DomainDataset]:
-    """Generate every suite domain, reusing a content-hash disk cache. A
-    cached file that fails its checksum is rebuilt and rewritten."""
+    """Generate every suite domain, reusing a disk cache keyed by content and
+    `_DOMAIN_CACHE_VERSION`. A cached file that fails its checksum is rebuilt
+    and rewritten."""
     out = {}
     for entry in spec.domains:
-        digest = hashlib.sha256(entry.content_key().encode()).hexdigest()[:16]
+        key = f"v{_DOMAIN_CACHE_VERSION}|{entry.content_key()}"
+        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cached = cache_dir / f"{digest}.gdsd" if cache_dir else None
         if cached is not None and cached.exists():
             try:
@@ -350,18 +356,24 @@ def _run_hash(cfg: ProtocolConfig, domain_key: str) -> str:
 
 def _execute_run(cfg: ProtocolConfig, sources: list[DomainDataset],
                  target: DomainDataset, path: str) -> tuple[str, Optional[str]]:
-    """Worker: run one protocol config and write its CSV. Returns (path, error)."""
+    """Worker: run one protocol config and write its CSV. Returns (path, error).
+
+    A run that raises a `GalaError` (numeric abort, bad data or config) or a
+    `ValueError` writes no CSV and returns the error, so the other runs of a
+    sweep still finish."""
     try:
         result = run_protocol(cfg, sources, target)
-    except NumericError as exc:
-        return path, str(exc)
+    except (GalaError, ValueError) as exc:
+        return path, f"{type(exc).__name__}: {exc}"
     emit_metrics(result.records, path)
     return path, None
 
 
 def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     """Execute the (sweep x seed) grid; returns the process exit code
-    (0 ok, 3 if any run aborted numerically, 4 on I/O failure).
+    (0 ok, 3 if any run failed, 4 on I/O failure). A failed run leaves no
+    CSV and is left out of summary.csv; the other runs and the summary are
+    still written.
 
     Completed runs are skipped by content hash, so interrupted suites resume;
     rerunning an identical spec is a no-op that leaves bytes unchanged.
@@ -408,7 +420,7 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
         print(f"I/O error: {exc}")
         return 4
     for path, error in failures:
-        print(f"run {path}: numeric abort: {error}")
+        print(f"run {path}: aborted: {error}")
     return 3 if failures else 0
 
 

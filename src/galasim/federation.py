@@ -242,7 +242,7 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
                 loss, grad_g, grad_f = cross_entropy_grad(extractor, classifier, xb, targets,
                                                           scratch)
             else:
-                features = extractor.forward_trace(xb, scratch)[0][-1]
+                features = extractor.forward_trace(xb, scratch)[-1]
                 loss, grad_f, _ = head_grad(classifier, features, targets)
             finite = np.isfinite(loss)
             if not finite.all():

@@ -260,13 +260,22 @@ class FeatureExtractor:
     def with_params(self, params: ParamVec) -> "FeatureExtractor":
         return FeatureExtractor(self.input_dim, self.hidden_dims, self.output_dim, params)
 
-    def forward_trace(self, x: np.ndarray, scratch: Scratch | None = None):
+    def layer_preact(self, i: int, x: np.ndarray, blocks=None,
+                     scratch: Scratch | None = None) -> np.ndarray:
+        """Pre-ReLU value x @ w_i.T + b_i of layer i for its input x, the one
+        copy of the layer math; `blocks` are this extractor's unpacked params."""
+        blocks = self.params.unpack() if blocks is None else blocks
+        z = _matmul(x, blocks[f"w{i}"].swapaxes(-1, -2), scratch, ("z", i))
+        z += blocks[f"b{i}"][..., None, :]
+        return z
+
+    def forward_trace(self, x: np.ndarray, scratch: Scratch | None = None) -> list[np.ndarray]:
         """Forward pass keeping every activation for backprop.
 
-        Returns (activations, preacts): activations[0] is the input batch,
-        activations[-1] the features; preacts[l] is the pre-ReLU value of
-        layer l. With stacked params, x is (N, batch, input_dim), or one
-        batch shared by every client; stacked inputs to one model give
+        Returns the activations: [0] is the input batch, [-1] the features,
+        and [l + 1] is the ReLU output of layer l, applied in place on its
+        pre-activation. With stacked params, x is (N, batch, input_dim), or
+        one batch shared by every client; stacked inputs to one model give
         (N, batch, dim) activations. With a Scratch, the returned arrays live
         in its memory.
         """
@@ -277,20 +286,17 @@ class FeatureExtractor:
             )
         blocks = self.params.unpack()
         acts = [x]
-        preacts = []
         for i in range(self.n_layers):
-            z = _matmul(acts[-1], blocks[f"w{i}"].swapaxes(-1, -2), scratch, ("z", i))
-            z += blocks[f"b{i}"][..., None, :]
-            preacts.append(z)
-            acts.append(np.maximum(z, 0.0, out=_out(scratch, ("a", i), z.shape)))
-        return acts, preacts
+            z = self.layer_preact(i, acts[-1], blocks, scratch)
+            acts.append(np.maximum(z, 0.0, out=z))
+        return acts
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         squeeze = np.asarray(x).ndim == 1
-        features = self.forward_trace(x)[0][-1]
+        features = self.forward_trace(x)[-1]
         return features[0] if squeeze else features
 
-    def backprop(self, acts, preacts, dfeatures: np.ndarray,
+    def backprop(self, acts, dfeatures: np.ndarray,
                  scratch: Scratch | None = None) -> ParamVec:
         """Gradient of a scalar loss w.r.t. params given d(loss)/d(features);
         a Scratch holds the layer deltas."""
@@ -298,15 +304,15 @@ class FeatureExtractor:
         grad = self.params.zeros_like()
         gblocks = grad.unpack()
         top = self.n_layers - 1
-        # ReLU subgradient, 0 at the kink
-        delta = np.multiply(dfeatures, preacts[top] > 0.0,
-                            out=_out(scratch, ("d", top), preacts[top].shape))
+        # ReLU subgradient, 0 at the kink: relu(z) > 0 exactly where z > 0
+        delta = np.multiply(dfeatures, acts[-1] > 0.0,
+                            out=_out(scratch, ("d", top), acts[-1].shape))
         for i in reversed(range(self.n_layers)):
             gblocks[f"w{i}"][...] = delta.swapaxes(-1, -2) @ acts[i]
             gblocks[f"b{i}"][...] = delta.sum(axis=-2)
             if i:  # d(loss)/d(input) is never used
                 delta = _matmul(delta, blocks[f"w{i}"], scratch, ("d", i - 1))
-                delta *= preacts[i - 1] > 0.0
+                delta *= acts[i] > 0.0
         return grad
 
 
@@ -436,9 +442,9 @@ def cross_entropy_grad(extractor: FeatureExtractor, classifier: Classifier,
     `labels` as for `head_grad`; a Scratch holds the activations and deltas.
     Returns (loss, gradG, gradF).
     """
-    acts, preacts = extractor.forward_trace(x, scratch)
+    acts = extractor.forward_trace(x, scratch)
     loss, grad_f, dfeatures = head_grad(classifier, acts[-1], labels)
-    grad_g = extractor.backprop(acts, preacts, dfeatures, scratch)
+    grad_g = extractor.backprop(acts, dfeatures, scratch)
     return loss, grad_g, grad_f
 
 

@@ -1,7 +1,13 @@
 """Domain generator, transform, mixup and file-format tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from galasim import (
     DataError,
@@ -187,6 +193,19 @@ class TestScaleRecenter:
             np.testing.assert_allclose(lib, ref, atol=1e-9)
             assert lib.sum() <= img.sum() + 1e-9
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_batched_resize_equals_per_image_calls(self, data):
+        n, ch, s = (data.draw(st.integers(1, hi)) for hi in (3, 3, 12))
+        out_size = data.draw(st.integers(1, s))
+        imgs = data.draw(arrays(np.float64, (n, ch, s, s),
+                                elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+        batched = bilinear_resize(imgs, out_size)
+        assert batched.shape == (n, ch, out_size, out_size)
+        for i in range(n):
+            for k in range(ch):
+                np.testing.assert_array_equal(batched[i, k], bilinear_resize(imgs[i, k], out_size))
+
 
 class TestChannelStack:
     def test_green_channel_unchanged(self):
@@ -320,6 +339,34 @@ class TestDatasetFile:
         path = tmp_path / "u.gdsd"
         save_dataset(d, path)
         assert load_dataset(path) == d
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        name = data.draw(st.text(st.characters(codec="utf-8"), max_size=24))
+        n = data.draw(st.integers(2, 16))
+        dim = data.draw(st.integers(1, 40))
+        samples = data.draw(arrays(np.float32, (n, dim),
+                                   elements=st.floats(width=32, allow_nan=False,
+                                                      allow_infinity=False)))
+        if data.draw(st.booleans()):
+            num_classes = data.draw(st.integers(2, n))
+            labels = np.array(data.draw(st.permutations(range(n)))) % num_classes
+        else:
+            num_classes, labels = data.draw(st.integers(2, 0xFFFF)), None
+        d = DomainDataset(name, samples, labels, num_classes)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.gdsd"), Path(tmp, "b.gdsd")
+            save_dataset(d, first)
+            loaded = load_dataset(first)
+            save_dataset(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
+        assert loaded.name == name and loaded.num_classes == num_classes
+        assert loaded.samples.tobytes() == d.samples.tobytes()
+        if labels is None:
+            assert loaded.labels is None
+        else:
+            np.testing.assert_array_equal(loaded.labels, labels)
 
     def test_truncated_file(self, tmp_path):
         d = gen_gaussian_domain(3, 10, 5, seed=9)

@@ -9,6 +9,7 @@ import pytest
 
 from galasim import (
     ConfigError,
+    DataError,
     ParseError,
     ProtocolConfig,
     emit_metrics,
@@ -18,7 +19,8 @@ from galasim import (
     run_gala,
 )
 from galasim import load_dataset
-from galasim.experiment import build_domains, _sweep_grid
+from galasim import experiment
+from galasim.experiment import DomainEntry, build_domains, _sweep_grid
 
 CONFIG = """
 [experiment]
@@ -293,6 +295,28 @@ class TestRunExperiment:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["tau=3.0"]
 
+    @pytest.mark.parametrize("error", [DataError("bad domain"), ConfigError("bad config"),
+                                       ValueError("bad value")])
+    def test_failing_run_is_recorded_and_the_sweep_finishes(self, tmp_path, monkeypatch,
+                                                           capsys, error):
+        real = experiment.run_protocol
+
+        def run_protocol(cfg, sources, target):
+            if cfg.tau == 2.0 and cfg.seed == 3:
+                raise error
+            return real(cfg, sources, target)
+
+        monkeypatch.setattr(experiment, "run_protocol", run_protocol)
+        spec = parse_config(write_config(tmp_path))
+        assert run_experiment(spec) == 3
+        runs = sorted(p.name for p in (tmp_path / "out" / "runs").iterdir())
+        assert len(runs) == 3
+        assert not any("__tau=2.0__s0__" in name for name in runs)
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            rows = {r[0]: int(r[1]) for r in list(csv.reader(fh))[1:]}
+        assert rows == {"tau=0.5": 2, "tau=2.0": 1}
+        assert f"{type(error).__name__}: {error}" in capsys.readouterr().out
+
     def test_summary_write_failing_midway_keeps_previous_summary(self, tmp_path,
                                                                   monkeypatch):
         spec = parse_config(write_config(tmp_path))
@@ -354,3 +378,24 @@ class TestRunExperiment:
         assert any("corrupt cache file" in r.getMessage() for r in caplog.records)
         reloaded = load_dataset(victim)
         assert any(reloaded == d for d in fresh.values())
+
+    def test_domain_cache_is_keyed_by_version(self, tmp_path, monkeypatch):
+        spec = parse_config(write_config(tmp_path))
+        cache = tmp_path / "out" / "cache"
+        built = []
+        real = DomainEntry.build
+
+        def build(entry):
+            built.append(entry.name)
+            return real(entry)
+
+        monkeypatch.setattr(DomainEntry, "build", build)
+        first = build_domains(spec, cache_dir=cache)
+        assert len(built) == 3
+        assert build_domains(spec, cache_dir=cache) == first
+        assert len(built) == 3  # same version: every domain comes from the cache
+        monkeypatch.setattr(experiment, "_DOMAIN_CACHE_VERSION",
+                            experiment._DOMAIN_CACHE_VERSION + 1)
+        assert build_domains(spec, cache_dir=cache) == first
+        assert len(built) == 6  # bumped version: every domain is rebuilt
+        assert len(list(cache.glob("*.gdsd"))) == 6
