@@ -82,9 +82,9 @@ class DomainDataset:
                 raise DataError("labels length must match number of samples")
             if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
                 raise DataError(f"labels outside [0, {self.num_classes})")
-            present = np.unique(self.labels)
-            if len(present) != self.num_classes:
-                missing = sorted(set(range(self.num_classes)) - set(present.tolist()))
+            counts = np.bincount(self.labels, minlength=self.num_classes)
+            if not counts.all():
+                missing = np.flatnonzero(counts == 0).tolist()
                 raise DataError(f"dataset {self.name!r} is missing classes {missing}")
         if self.raster_shape is not None:
             ch, h, w = self.raster_shape
@@ -319,7 +319,7 @@ def apply_scale_recenter(d: DomainDataset, inner: int, seed: int = 0) -> DomainD
     """Downscale each raster to inner x inner and paste it centered on a zero
     canvas of the original size; labels unchanged."""
     imgs = d.rasters().astype(np.float64)
-    n, ch, s, _ = imgs.shape
+    n, _, s, _ = imgs.shape
     if inner > s:
         raise ValueError(f"inner ({inner}) must not exceed canvas ({s})")
     if inner < 1:
