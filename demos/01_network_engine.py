@@ -53,7 +53,7 @@ print(f"gradient check, max relative error: {err:.2e}")
 # --- one optimizer trajectory ----------------------------------------------
 params = ParamVec(np.array([1.0, -2.0]), (("w", (2,)),))
 grad = ParamVec(np.array([0.5, -0.5]), (("w", (2,)),))
-state = OptimizerState.for_params(params, lr0=0.1, momentum=0.9)
+state = OptimizerState.for_params(params, momentum=0.9)
 print("\nSGD with momentum 0.9 on a toy vector:")
 for step in range(4):
     params = sgd_step(params, grad, state, lr=0.1)

@@ -60,7 +60,7 @@ print(f"expected group loss over all {len(values)} splits: {np.mean(values):.4f}
 
 # the adversarial update pushes the extractor toward group agreement
 print("\nminimizing the group loss over the target set (5 epochs):")
-opt = OptimizerState.for_params(extractor.params, lr0=0.05, momentum=0.9)
+opt = OptimizerState.for_params(extractor.params, momentum=0.9)
 current = extractor
 data = target.samples.astype(np.float64)
 for epoch in range(5):

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError, IntegrityError, ParseError, UnsupportedVersionError
+from .nn import Scratch
 
 TRANSFORM_KINDS = (
     "background_overlay",
@@ -425,20 +426,38 @@ def apply_transform_chain(d: DomainDataset,
 
 
 def mixup(x: np.ndarray, y_soft: np.ndarray, alpha: float, rng: np.random.Generator,
-          lam: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+          lam: Optional[float] = None,
+          scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise mixup: each sample blends with a random partner using its own
-    lambda ~ Beta(alpha, alpha). `lam` forces a fixed lambda (test hook)."""
+    lambda ~ Beta(alpha, alpha). `lam` forces a fixed lambda (test hook).
+
+    With a Scratch, the float64 arrays x and y_soft are blended in place and
+    returned, and the partner rows are gathered into its memory; without
+    one, the blends are fresh arrays and the inputs are left alone.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    y_soft = np.asarray(y_soft, dtype=np.float64)
+    if scratch is None:
+        x = np.array(x, dtype=np.float64)
+        y_soft = np.array(y_soft, dtype=np.float64)
+    elif not all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in (x, y_soft)):
+        raise ValueError("mixup with a Scratch blends in place: x and y_soft must be "
+                         "float64 arrays")
     n = x.shape[0]
     if n < 2:
         raise ValueError("mixup needs a batch of at least 2")
     partner = rng.permutation(n)
     lams = np.full(n, float(lam)) if lam is not None else rng.beta(alpha, alpha, size=n)
     lx = lams[:, None]
-    return lx * x + (1 - lx) * x[partner], lx * y_soft + (1 - lx) * y_soft[partner]
+    for key, a in (("mixup_x", x), ("mixup_y", y_soft)):
+        # lx*a + (1-lx)*a[partner]; "clip" is exact for a permutation and
+        # skips the buffered gather of the default "raise"
+        other = np.take(a, partner, axis=0, mode="clip",
+                        out=None if scratch is None else scratch.take(key, a.shape))
+        other *= 1 - lx
+        a *= lx
+        a += other
+    return x, y_soft
 
 
 # ---------------------------------------------------------------------------

@@ -372,8 +372,8 @@ def _execute_run(cfg: ProtocolConfig, sources: list[DomainDataset],
 def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     """Execute the (sweep x seed) grid; returns the process exit code
     (0 ok, 3 if any run failed, 4 on I/O failure). A failed run leaves no
-    CSV and is left out of summary.csv; the other runs and the summary are
-    still written.
+    CSV and is counted in its configuration's num_failed in summary.csv; the
+    other runs and the summary are still written.
 
     Completed runs are skipped by content hash, so interrupted suites resume;
     rerunning an identical spec is a no-op that leaves bytes unchanged.
@@ -436,21 +436,29 @@ def _final_accuracy_from_csv(path: Path) -> float:
 
 
 def _write_summary(path: Path, run_index: list) -> None:
-    """Mean and population std of final-round accuracy per configuration;
-    the file is replaced only once complete."""
-    by_label: dict[str, list[float]] = {}
+    """Mean and population std of final-round accuracy per configuration,
+    then the number of its runs that failed (left no CSV); a configuration
+    whose every run failed has num_runs 0 and empty mean and std. The file
+    is replaced only once complete."""
+    finals: dict[str, list[float]] = {}
+    failed: dict[str, int] = {}
     for label, _, csv_path in run_index:
+        finals.setdefault(label, [])
+        failed.setdefault(label, 0)
         if Path(csv_path).exists():
-            by_label.setdefault(label, []).append(_final_accuracy_from_csv(Path(csv_path)))
+            finals[label].append(_final_accuracy_from_csv(Path(csv_path)))
+        else:
+            failed[label] += 1
 
     def write(tmp: str) -> None:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["config", "num_runs", "mean_final_acc", "std_final_acc"])
-            for label in sorted(by_label):
-                finals = np.asarray(by_label[label])
-                writer.writerow([label, finals.size,
-                                 repr(float(finals.mean())),
-                                 repr(float(finals.std()))])
+            writer.writerow(["config", "num_runs", "mean_final_acc", "std_final_acc",
+                             "num_failed"])
+            for label in sorted(finals):
+                values = np.asarray(finals[label])
+                stats = ([repr(float(values.mean())), repr(float(values.std()))]
+                         if values.size else ["", ""])
+                writer.writerow([label, values.size, *stats, failed[label]])
 
     _atomic_write(path, write)

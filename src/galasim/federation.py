@@ -222,10 +222,9 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
     onehots = [_onehot(d.require_labels(), num_classes) for d in datasets]
     if update_extractor:
         extractor = extractor.with_params(ParamStack.of([extractor.params] * n))
-        opt_g = OptimizerState.for_params(extractor.params, lr, cfg.momentum,
-                                          cfg.weight_decay)
+        opt_g = OptimizerState.for_params(extractor.params, cfg.momentum, cfg.weight_decay)
     classifier = classifiers[0].with_params(ParamStack.of([c.params for c in classifiers]))
-    opt_f = OptimizerState.for_params(classifier.params, lr, cfg.momentum, cfg.weight_decay)
+    opt_f = OptimizerState.for_params(classifier.params, cfg.momentum, cfg.weight_decay)
     losses = []
     for _ in range(cfg.local_epochs):
         orders = [rng.permutation(size) for rng in rngs]
@@ -237,7 +236,8 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
                 xb[k] = datasets[k].samples[idx[k]]  # float32 to float64 is exact
                 targets[k] = onehots[k][idx[k]]
                 if cfg.mixup_alpha is not None and idx[k].size >= 2:
-                    xb[k], targets[k] = mixup(xb[k], targets[k], cfg.mixup_alpha, rngs[k])
+                    # blends xb[k] and targets[k] in place
+                    mixup(xb[k], targets[k], cfg.mixup_alpha, rngs[k], scratch=scratch)
             if update_extractor:
                 loss, grad_g, grad_f = cross_entropy_grad(extractor, classifier, xb, targets,
                                                           scratch)
@@ -502,7 +502,7 @@ def sample_pair(seed: int, round_index: int, n_sources: int) -> tuple[int, int]:
 def _igd_pass(cfg, extractor, gc1, gc2, target_view, lr, rng):
     """One target stage: local_epochs of minibatch SGD on the group loss,
     updating only the extractor. Returns it and the mean batch loss."""
-    opt = OptimizerState.for_params(extractor.params, lr, cfg.momentum, cfg.weight_decay)
+    opt = OptimizerState.for_params(extractor.params, cfg.momentum, cfg.weight_decay)
     data = target_view.samples
     losses = []
     for _ in range(cfg.local_epochs):
@@ -519,7 +519,7 @@ def _igd_pass(cfg, extractor, gc1, gc2, target_view, lr, rng):
 
 def _full_pairwise_pass(cfg, extractor, classifiers, target_view, lr, rng):
     """Target stage minimizing the sum of all pair losses (quadratic cost)."""
-    opt = OptimizerState.for_params(extractor.params, lr, cfg.momentum, cfg.weight_decay)
+    opt = OptimizerState.for_params(extractor.params, cfg.momentum, cfg.weight_decay)
     data = target_view.samples
     pairs = list(itertools.combinations(range(len(classifiers)), 2))
     losses = []

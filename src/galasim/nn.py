@@ -147,8 +147,9 @@ class Scratch:
     """Output memory that repeated model math of one shape can reuse.
 
     forward_trace, backprop and cross_entropy_grad write their activations
-    and deltas into the buffers of a Scratch passed to them, so a training
-    loop allocates those once instead of once per step. Results then alias
+    and deltas into the buffers of a Scratch passed to them (domains.mixup
+    its gathered partner rows), so a training loop allocates those once
+    instead of once per step. Results then alias
     the buffers and are overwritten by the next call with the same Scratch.
 
     This is a measured choice: freshly allocated arrays of a few hundred KB
@@ -301,15 +302,15 @@ class FeatureExtractor:
         """Gradient of a scalar loss w.r.t. params given d(loss)/d(features);
         a Scratch holds the layer deltas."""
         blocks = self.params.unpack()
-        grad = self.params.zeros_like()
-        gblocks = grad.unpack()
+        grad = type(self.params)(np.empty(self.params.values.shape), self.params.shape_spec)
+        gblocks = grad.unpack()  # every block is written below
         top = self.n_layers - 1
         # ReLU subgradient, 0 at the kink: relu(z) > 0 exactly where z > 0
         delta = np.multiply(dfeatures, acts[-1] > 0.0,
                             out=_out(scratch, ("d", top), acts[-1].shape))
         for i in reversed(range(self.n_layers)):
-            gblocks[f"w{i}"][...] = delta.swapaxes(-1, -2) @ acts[i]
-            gblocks[f"b{i}"][...] = delta.sum(axis=-2)
+            np.matmul(delta.swapaxes(-1, -2), acts[i], out=gblocks[f"w{i}"])
+            delta.sum(axis=-2, out=gblocks[f"b{i}"])
             if i:  # d(loss)/d(input) is never used
                 delta = _matmul(delta, blocks[f"w{i}"], scratch, ("d", i - 1))
                 delta *= acts[i] > 0.0
@@ -362,18 +363,16 @@ class OptimizerState:
     """
 
     momentum_buffer: ParamVec
-    lr0: float
     momentum: float = 0.9
     weight_decay: float = 0.0
-    step_count: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamVec, lr0, momentum=0.9, weight_decay=0.0):
+    def for_params(cls, params: ParamVec, momentum=0.9, weight_decay=0.0):
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if weight_decay < 0.0:
             raise ValueError("weight_decay must be nonnegative")
-        return cls(params.zeros_like(), float(lr0), float(momentum), float(weight_decay))
+        return cls(params.zeros_like(), float(momentum), float(weight_decay))
 
 
 def forward_model(extractor: FeatureExtractor, classifier: Classifier, x: np.ndarray) -> np.ndarray:
@@ -455,11 +454,16 @@ def sgd_step(params: ParamVec, grad: ParamVec, state: OptimizerState, lr: float)
     _check_finite(grad, "non-finite gradient in sgd_step")
     params._check_compatible(grad)
     params._check_compatible(state.momentum_buffer)
-    buf = state.momentum_buffer.values
+    p, buf = params.values, state.momentum_buffer.values
     buf *= state.momentum
-    buf += grad.values + state.weight_decay * params.values
-    state.step_count += 1
-    new = type(params)(params.values - lr * buf, params.shape_spec)
+    # buf += g + wd*p, then p - lr*buf, through one temporary: IEEE addition
+    # commutes and negation is exact, so the bits are those of the formulas
+    step = state.weight_decay * p
+    step += grad.values
+    buf += step
+    np.multiply(buf, -lr, out=step)
+    step += p
+    new = type(params)(step, params.shape_spec)
     _check_finite(new, "non-finite parameters after sgd_step")
     return new
 

@@ -3,6 +3,8 @@ small-instance enumeration oracle and finite-difference gradient checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from galasim import (
     Classifier,
@@ -57,6 +59,15 @@ class TestRandomPartition:
     def test_too_few_sources(self):
         with pytest.raises(ConfigError):
             random_partition(1, seed=0)
+
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**31 - 1))
+    def test_disjoint_cover_with_floor_ceil_sizes(self, n, seed):
+        p = random_partition(n, seed)
+        g1, g2 = set(p.g1), set(p.g2)
+        assert not g1 & g2 and g1 | g2 == set(range(n))
+        assert (len(p.g1), len(p.g2)) == (n // 2, n - n // 2)
+        assert list(p.g1) == sorted(g1) and list(p.g2) == sorted(g2)
+        assert p.seed == seed and random_partition(n, seed) == p
 
     def test_uniform_over_distinct_splits(self):
         # N=4 has exactly 3 distinct unordered (2,2) splits

@@ -29,6 +29,7 @@ from galasim import (
     save_dataset,
 )
 from galasim.domains import bilinear_resize
+from galasim.nn import Scratch
 
 
 def reference_bilinear(img, out_size):
@@ -323,6 +324,65 @@ class TestMixup:
         rng = np.random.default_rng(2)
         lams = rng.beta(0.2, 0.2, size=100_000)
         assert abs(lams.mean() - 0.5) < 0.01
+
+    @staticmethod
+    def batch(n, width, num_classes, seed):
+        """A float64 batch with exact zeros of both signs and Dirichlet soft
+        targets, from its own seed."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, width))
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        return x, rng.dirichlet(np.ones(num_classes), size=n)
+
+    @staticmethod
+    def reference(x, y, alpha, rng, lam):
+        """The blend formula, with mixup's draws: permutation, then beta."""
+        partner = rng.permutation(x.shape[0])
+        lams = np.full(x.shape[0], lam) if lam is not None else rng.beta(alpha, alpha, x.shape[0])
+        lx = lams[:, None]
+        return lx * x + (1 - lx) * x[partner], lx * y + (1 - lx) * y[partner]
+
+    mixup_cases = dict(n=st.integers(2, 70), width=st.integers(1, 800),
+                       num_classes=st.integers(2, 12),
+                       alpha=st.sampled_from([0.05, 0.2, 0.4, 1.0, 3.0]),
+                       lam=st.none() | st.floats(0.0, 1.0),
+                       seed=st.integers(0, 2**32 - 1))
+
+    @given(**mixup_cases)
+    @settings(deadline=None, max_examples=60)
+    def test_matches_blend_formula(self, n, width, num_classes, alpha, lam, seed):
+        x, y = self.batch(n, width, num_classes, seed)
+        before = x.tobytes(), y.tobytes()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mx, my = mixup(x, y, alpha, rng, lam=lam)
+        rx, ry = self.reference(x, y, alpha, ref_rng, lam)
+        assert mx.tobytes() == rx.tobytes() and my.tobytes() == ry.tobytes()
+        assert (x.tobytes(), y.tobytes()) == before  # inputs untouched
+        assert rng.random() == ref_rng.random()  # same draws consumed
+
+    @given(**mixup_cases)
+    @settings(deadline=None, max_examples=60)
+    def test_scratch_blends_in_place_to_the_same_bytes(self, n, width, num_classes,
+                                                       alpha, lam, seed):
+        x, y = self.batch(n, width, num_classes, seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        scratch = Scratch()
+        for _ in range(2):  # the second call reuses the scratch memory
+            rx, ry = mixup(x, y, alpha, ref_rng, lam=lam)
+            mx, my = mixup(x, y, alpha, rng, lam=lam, scratch=scratch)
+            assert mx is x and my is y
+            assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
+            assert rng.random() == ref_rng.random()
+
+    def test_scratch_needs_float64(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 3))
+        y = np.eye(3)[[0, 1, 2, 0]]
+        with pytest.raises(ValueError, match="float64"):
+            mixup(x.astype(np.float32), y, 0.2, rng, scratch=Scratch())
+        with pytest.raises(ValueError, match="float64"):
+            mixup(x, y.astype(np.float32), 0.2, rng, scratch=Scratch())
 
 
 class TestDatasetFile:

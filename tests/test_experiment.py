@@ -293,7 +293,10 @@ class TestRunExperiment:
         assert len(runs) == 1 and "__tau=3.0__" in runs[0]
         with open(tmp_path / "out" / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert [r[0] for r in rows[1:]] == ["tau=3.0"]
+        assert rows[0][-1] == "num_failed"
+        assert [(r[0], r[1], r[-1]) for r in rows[1:]] == [("tau=3.0", "1", "0"),
+                                                          ("tau=3000.0", "0", "1")]
+        assert rows[2][2:4] == ["", ""]  # no mean or std without a finished run
 
     @pytest.mark.parametrize("error", [DataError("bad domain"), ConfigError("bad config"),
                                        ValueError("bad value")])
@@ -313,8 +316,8 @@ class TestRunExperiment:
         assert len(runs) == 3
         assert not any("__tau=2.0__s0__" in name for name in runs)
         with open(tmp_path / "out" / "summary.csv", newline="") as fh:
-            rows = {r[0]: int(r[1]) for r in list(csv.reader(fh))[1:]}
-        assert rows == {"tau=0.5": 2, "tau=2.0": 1}
+            rows = {r[0]: (int(r[1]), int(r[4])) for r in list(csv.reader(fh))[1:]}
+        assert rows == {"tau=0.5": (2, 0), "tau=2.0": (1, 1)}
         assert f"{type(error).__name__}: {error}" in capsys.readouterr().out
 
     def test_summary_write_failing_midway_keeps_previous_summary(self, tmp_path,

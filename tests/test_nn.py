@@ -23,7 +23,7 @@ from galasim import (
     softmax,
     weighted_mean,
 )
-from galasim.nn import finite_difference_grad, relative_grad_error
+from galasim.nn import ParamStack, Scratch, finite_difference_grad, relative_grad_error
 
 
 def small_model(seed=0, input_dim=5, hidden=(6,), d=4, num_classes=3):
@@ -251,25 +251,26 @@ class TestSgdStep:
     def test_vanilla_step(self):
         params = ParamVec(np.array([1.0]), self.spec())
         grad = ParamVec(np.array([2.0]), self.spec())
-        state = OptimizerState.for_params(params, lr0=0.1, momentum=0.0)
+        state = OptimizerState.for_params(params, momentum=0.0)
         out = sgd_step(params, grad, state, lr=0.1)
         np.testing.assert_allclose(out.values, [0.8], atol=0)
 
     def test_zero_lr_keeps_params_updates_buffer(self):
         params = ParamVec(np.array([1.0]), self.spec())
         grad = ParamVec(np.array([2.0]), self.spec())
-        state = OptimizerState.for_params(params, lr0=0.1, momentum=0.5)
+        state = OptimizerState.for_params(params, momentum=0.5)
         out = sgd_step(params, grad, state, lr=0.0)
         assert np.array_equal(out.values, params.values)
         np.testing.assert_allclose(state.momentum_buffer.values, [2.0], atol=0)
-        assert state.step_count == 1
+        out = sgd_step(out, grad, state, lr=0.0)
+        np.testing.assert_allclose(state.momentum_buffer.values, [0.5 * 2.0 + 2.0], atol=0)
 
     def test_momentum_unrolled_two_steps(self):
         g = 0.7
         lr = 0.01
         params = ParamVec(np.array([1.0]), self.spec())
         grad = ParamVec(np.array([g]), self.spec())
-        state = OptimizerState.for_params(params, lr0=lr, momentum=0.9)
+        state = OptimizerState.for_params(params, momentum=0.9)
         after1 = sgd_step(params, grad, state, lr)
         after2 = sgd_step(after1, grad, state, lr)
         np.testing.assert_allclose(after1.values - after2.values, [lr * 1.9 * g],
@@ -278,17 +279,98 @@ class TestSgdStep:
     def test_weight_decay_enters_buffer(self):
         params = ParamVec(np.array([2.0]), self.spec())
         grad = ParamVec(np.array([0.0]), self.spec())
-        state = OptimizerState.for_params(params, lr0=1.0, momentum=0.0,
-                                          weight_decay=0.1)
+        state = OptimizerState.for_params(params, momentum=0.0, weight_decay=0.1)
         out = sgd_step(params, grad, state, lr=1.0)
         np.testing.assert_allclose(out.values, [2.0 - 0.2], atol=1e-15)
 
     def test_non_finite_grad_aborts(self):
         params = ParamVec(np.array([1.0]), self.spec())
         grad = ParamVec(np.array([np.nan]), self.spec())
-        state = OptimizerState.for_params(params, lr0=0.1)
+        state = OptimizerState.for_params(params)
         with pytest.raises(NumericError):
             sgd_step(params, grad, state, 0.1)
+
+
+def same_bytes(a, b) -> bool:
+    """Bit-for-bit equality: tells -0.0 from 0.0 and NaN payloads apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_params(spec, rows, rng):
+    """Values for shape_spec, with exact zeros of both signs: a ParamVec
+    for rows None, else a ParamStack of `rows` rows."""
+    size = sum(int(np.prod(dims)) for _, dims in spec)
+    shape = (size,) if rows is None else (rows, size)
+    values = rng.uniform(-0.8, 0.8, shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    values[rng.random(shape) < 0.1] = -0.0
+    return (ParamVec if rows is None else ParamStack)(values, spec)
+
+
+class TestInPlaceStepMatchesFormulas:
+    """backprop and sgd_step write into preallocated memory; their results
+    must equal the plain formulas below bit for bit, on a ParamVec and on
+    ParamStacks of 1-4 rows."""
+
+    @given(rows=st.sampled_from([None, 1, 2, 3, 4]), input_dim=st.integers(1, 40),
+           hidden=st.lists(st.integers(1, 12), max_size=2), d=st.integers(1, 8),
+           batch=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+           use_scratch=st.booleans())
+    @settings(deadline=None, max_examples=60)
+    def test_backprop_equals_block_matmuls(self, rows, input_dim, hidden, d, batch,
+                                           seed, use_scratch):
+        rng = np.random.default_rng(seed)
+        extractor = FeatureExtractor.init(input_dim, hidden, d, rng)
+        extractor = extractor.with_params(random_params(extractor.params.shape_spec, rows,
+                                                        rng))
+        lead = () if rows is None else (rows,)
+        acts = extractor.forward_trace(rng.standard_normal(lead + (batch, input_dim)))
+        dfeatures = rng.standard_normal(acts[-1].shape)
+        grad = extractor.backprop(acts, dfeatures, Scratch() if use_scratch else None)
+        assert type(grad) is type(extractor.params)
+
+        blocks = extractor.params.unpack()
+        got = grad.unpack()
+        delta = dfeatures * (acts[-1] > 0.0)
+        for i in reversed(range(extractor.n_layers)):
+            assert same_bytes(got[f"w{i}"], delta.swapaxes(-1, -2) @ acts[i])
+            assert same_bytes(got[f"b{i}"], delta.sum(axis=-2))
+            delta = (delta @ blocks[f"w{i}"]) * (acts[i] > 0.0)
+
+    @given(rows=st.sampled_from([None, 1, 2, 3, 4]), size=st.integers(1, 300),
+           momentum=st.sampled_from([0.0, 0.5, 0.9]),
+           weight_decay=st.sampled_from([0.0, 1e-4, 0.05]),
+           lr=st.sampled_from([0.0, 0.01, 0.3]), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_sgd_step_equals_formula(self, rows, size, momentum, weight_decay, lr, seed):
+        rng = np.random.default_rng(seed)
+        spec = (("w", (size,)),)
+        params = random_params(spec, rows, rng)
+        state = OptimizerState.for_params(params, momentum=momentum,
+                                          weight_decay=weight_decay)
+        buf = state.momentum_buffer.values.copy()
+        p = params.values.copy()
+        for _ in range(3):
+            grad = random_params(spec, rows, rng)
+            params = sgd_step(params, grad, state, lr)
+            buf = buf * momentum
+            buf = buf + (grad.values + weight_decay * p)
+            p = p - lr * buf
+            assert type(params) is type(grad)
+            assert same_bytes(state.momentum_buffer.values, buf)
+            assert same_bytes(params.values, p)
+
+    def test_sgd_step_leaves_its_inputs_alone(self):
+        rng = np.random.default_rng(3)
+        spec = (("w", (2, 5)),)
+        params = ParamStack(rng.standard_normal((2, 10)), spec)
+        grad = ParamStack(rng.standard_normal((2, 10)), spec)
+        before_p, before_g = params.values.copy(), grad.values.copy()
+        state = OptimizerState.for_params(params, weight_decay=0.01)
+        new = sgd_step(params, grad, state, 0.1)
+        assert same_bytes(params.values, before_p) and same_bytes(grad.values, before_g)
+        assert not np.shares_memory(new.values, params.values)
 
 
 class TestLrSchedule:

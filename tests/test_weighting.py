@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from galasim import (
     CentroidSet,
@@ -150,6 +152,13 @@ class TestTemperatureWeights:
             np.testing.assert_allclose(mdmgb_plus(s + shift, 1.3),
                                        mdmgb_plus(s, 1.3), atol=1e-9)
 
+    @given(s=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+           tau=st.floats(0.05, 4.0), shift=st.floats(-100.0, 100.0))
+    def test_shift_invariance_property(self, s, tau, shift):
+        s = np.asarray(s)
+        np.testing.assert_allclose(mdmgb_plus(s + shift, tau), mdmgb_plus(s, tau),
+                                   rtol=1e-9, atol=1e-12)
+
     def test_tiny_tau_near_uniform(self):
         rng = np.random.default_rng(6)
         s = rng.uniform(-5, 5, size=8)
@@ -222,6 +231,17 @@ class TestGroupNormalize:
                 idx = list(group)
                 np.testing.assert_allclose(got[idx], softmax(tau * s[idx]),
                                            atol=1e-9)
+
+    @given(s=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=12),
+           tau=st.floats(0.05, 4.0), seed=st.integers(0, 2**31 - 1))
+    def test_group_softmax_identity_property(self, s, tau, seed):
+        s = np.asarray(s)
+        part = random_partition(s.size, seed)
+        got = group_normalize(mdmgb_plus(s, tau), part)
+        for group in (part.g1, part.g2):
+            idx = list(group)
+            np.testing.assert_allclose(got[idx], mdmgb_plus(s[idx], tau),
+                                       rtol=1e-12, atol=1e-15)
 
     def test_partition_must_cover(self):
         part = GroupPartition((0,), (1,))
