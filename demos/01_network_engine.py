@@ -14,7 +14,6 @@ from galasim import (
     OptimizerState,
     ParamVec,
     cross_entropy_grad,
-    forward_model,
     grad_check,
     lr_schedule,
     sgd_step,
@@ -29,7 +28,7 @@ print(f"extractor parameters: {extractor.params.size}")
 print(f"classifier parameters: {classifier.params.size}")
 
 x = rng.standard_normal(8)
-probs = forward_model(extractor, classifier, x)
+probs = classifier.forward(extractor.forward(x))
 print(f"\nsingle input -> probabilities {np.round(probs, 4)} (sum {probs.sum():.12f})")
 
 # --- cross-entropy and its exact gradients ---------------------------------

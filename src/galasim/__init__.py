@@ -23,6 +23,7 @@ from .errors import (
     NumericError,
     ParseError,
     UnsupportedVersionError,
+    WorkerError,
 )
 from .nn import (
     Classifier,
@@ -31,7 +32,6 @@ from .nn import (
     ParamVec,
     cross_entropy_grad,
     finite_difference_grad,
-    forward_model,
     grad_check,
     head_grad,
     lr_schedule,
@@ -72,7 +72,6 @@ from .discrepancy import (
     away_from_kinks,
     enumerate_partitions,
     full_pairwise_loss,
-    group_predict,
     idd_loss,
     igd_loss,
     random_partition,

@@ -4,8 +4,9 @@
     galasim simmatrix <config> [--out DIR]
     galasim gradcheck [--trials N] [--epsilon E] [--seed N]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric abort (or, for `run`,
-any failed run of the sweep), 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numeric abort or a worker
+process lost mid-round (or, for `run`, any failed run of the sweep: a run
+whose source worker dies fails like a numeric abort), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .discrepancy import GroupClassifier, away_from_kinks, igd_loss, random_partition
-from .errors import ConfigError, GalaError, NumericError, ParseError
+from .errors import ConfigError, GalaError, NumericError, ParseError, WorkerError
 from .experiment import build_domains, parse_config, run_experiment
 from .federation import similarity_matrix
 from .nn import (
@@ -143,6 +144,9 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
+        return 3
+    except WorkerError as exc:
+        print(f"worker lost: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

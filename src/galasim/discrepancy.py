@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Classifier, FeatureExtractor, ParamVec
+from .nn import Classifier, FeatureExtractor, ParamVec, softmax
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,14 @@ def enumerate_partitions(n_sources: int) -> list[GroupPartition]:
 
 @dataclass
 class GroupClassifier:
-    """Convex combination, in probability space, of member classifiers."""
+    """Convex combination, in probability space, of member classifiers.
+
+    The members' weights and biases are read once, at construction, into one
+    (m, C, d) and one (m, C) stack: a member's params mutated afterwards are
+    not seen. Each member's slice of the stacked math is computed as its own
+    Classifier computes it, and sums over members run in member order from
+    +0.0, so the results are those of a loop over the members, bit for bit.
+    """
 
     members: list[tuple[int, Classifier]]
     weights: np.ndarray
@@ -101,6 +108,9 @@ class GroupClassifier:
         for _, clf in self.members:
             if clf.input_dim != d0 or clf.num_classes != c0:
                 raise ConfigError("group members must share feature dim and class count")
+        blocks = [clf.params.unpack() for _, clf in self.members]
+        self._w = np.stack([b["w"] for b in blocks])  # (m, C, d)
+        self._b = np.stack([b["b"] for b in blocks])  # (m, C)
 
     @property
     def num_classes(self) -> int:
@@ -111,37 +121,35 @@ class GroupClassifier:
         return self.members[0][1].input_dim
 
     def predict(self, z: np.ndarray) -> np.ndarray:
-        """Weighted average of member probability outputs (post-softmax)."""
+        """Weighted average of member probability outputs (post-softmax);
+        one probability vector for one feature vector, as Classifier.forward."""
+        probs = self._average(self._member_probs(z))
+        return probs[0] if np.ndim(z) == 1 else probs
+
+    def _member_probs(self, z: np.ndarray) -> np.ndarray:
+        """(m, batch, C): every member's softmax on the features z."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return self._average(self._member_probs(z))
+        if z.shape[-1] != self.input_dim:
+            raise ConfigError(
+                f"feature dim {z.shape[-1]} does not match classifier input_dim {self.input_dim}"
+            )
+        return softmax(z @ self._w.swapaxes(-1, -2) + self._b[:, None, :])
 
-    def _member_probs(self, z: np.ndarray) -> list[np.ndarray]:
-        return [clf.forward(z) for _, clf in self.members]
+    def _member_sum(self, per_member: np.ndarray) -> np.ndarray:
+        # axis 0 is the outermost loop of the reduction: +0.0, then member by member
+        return np.add.reduce(per_member, axis=0, initial=0.0)
 
-    def _average(self, member_probs: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.zeros_like(member_probs[0])
-        for w, q in zip(self.weights, member_probs):
-            out += w * q
-        return out
+    def _average(self, member_probs: np.ndarray) -> np.ndarray:
+        return self._member_sum(self.weights[:, None, None] * member_probs)
 
-
-def group_predict(gc: GroupClassifier, z: np.ndarray) -> np.ndarray:
-    squeeze = np.asarray(z).ndim == 1
-    probs = gc.predict(z)
-    return probs[0] if squeeze else probs
-
-
-def _group_backprop_dfeatures(gc: GroupClassifier, member_probs: Sequence[np.ndarray],
-                              dprobs: np.ndarray) -> np.ndarray:
-    """d(loss)/d(features) through every member's softmax and linear layer,
-    given each member's probabilities on the features."""
-    dfeat = np.zeros((dprobs.shape[0], gc.input_dim))
-    for w, (_, clf), q in zip(gc.weights, gc.members, member_probs):
-        dq = w * dprobs
+    def _backprop_dfeatures(self, member_probs: np.ndarray,
+                            dprobs: np.ndarray) -> np.ndarray:
+        """d(loss)/d(features) through every member's softmax and linear
+        layer, given the members' probabilities and d(loss)/d(prediction)."""
+        dq = self.weights[:, None, None] * dprobs
         # softmax Jacobian-transpose: q * (dq - <dq, q>)
-        du = q * (dq - (dq * q).sum(axis=1, keepdims=True))
-        dfeat += du @ clf.params.unpack()["w"]
-    return dfeat
+        du = member_probs * (dq - (dq * member_probs).sum(axis=-1, keepdims=True))
+        return self._member_sum(du @ self._w)
 
 
 def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassifier,
@@ -161,8 +169,8 @@ def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassi
     batch = x.shape[0]
     loss = float(np.abs(diff).sum() / batch)
     sign = np.sign(diff) / batch  # sign(0) = 0 keeps identical groups a fixed point
-    dfeat = _group_backprop_dfeatures(gc1, q1, sign)
-    dfeat += _group_backprop_dfeatures(gc2, q2, -sign)
+    dfeat = gc1._backprop_dfeatures(q1, sign)
+    dfeat += gc2._backprop_dfeatures(q2, -sign)
     grad = extractor.backprop(acts, dfeat)
     return loss, grad
 

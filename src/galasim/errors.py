@@ -31,6 +31,13 @@ class NumericError(GalaError):
         self.round_index = round_index
         self.client = client
 
+    def __reduce__(self):  # keeps the fields across a process boundary
+        return type(self), (self.reason, self.round_index, self.client)
+
+
+class WorkerError(GalaError):
+    """A worker process of a run exited or failed unexpectedly mid-round."""
+
 
 class ParseError(GalaError):
     """Malformed config or dataset file."""

@@ -14,11 +14,32 @@ with the server, so target/server traffic is free). Wall-clock figures are
 likewise a deterministic work model (multiply-accumulate counts at a nominal
 rate), so reruns of a config are bit-identical; evaluation passes are
 instrumentation and are not charged.
+
+The per-source work of a `run_gala` round (centroid pass, local training and
+frozen fine-tune) runs on several processes when that can help: the sources
+split into contiguous blocks, the caller's process serves the first, and one
+forked worker per further block serves the rest; for the run, each process is
+pinned to its own share of the usable CPUs (the caller's affinity is restored
+afterwards). The process count is derived, not configured. It is 1 inside a
+`multiprocessing` child (a sweep's pool worker), where `fork` is unavailable,
+in a process running other threads (fork would copy locks they hold), or
+when none of the BLAS thread variables (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS, MKL_NUM_THREADS) is set, since an unpinned BLAS would
+oversubscribe the cores. Otherwise it is the usable CPUs divided by the
+largest of those thread counts, at most the number of sources; if a worker
+cannot be forked, the run uses one process. A source's results depend only on
+the broadcast model and that source's own seeds, never on its block or
+process, so records are byte-identical for every process count.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,12 +53,13 @@ from .discrepancy import (
     random_partition,
 )
 from .domains import DomainDataset, mixup
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, WorkerError
 from .nn import (
     Classifier,
     FeatureExtractor,
     OptimizerState,
     ParamStack,
+    ParamVec,
     Scratch,
     cross_entropy_grad,
     head_grad,
@@ -74,6 +96,9 @@ MACS_PER_MS = 1.0e6
 # 51k-parameter glyph models per stack raised sweep_glyph's from about 132 to
 # 144 MB, so those train one at a time.
 STACK_BYTES = 80 * 1024
+
+# BLAS thread variables; the source processes need the thread count pinned
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -257,6 +282,163 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
 
 
 # ---------------------------------------------------------------------------
+# per-source work of a gala round, in this process or in forked workers
+
+
+def _source_processes() -> int:
+    """Processes a gala round's per-source work may use (module docstring).
+
+    With BLAS threads unpinned, 2 processes x 2 OpenBLAS threads on 2 cores
+    ran 6-20x slower than one process (bench/NOTES.md), so an unset thread
+    count means one process."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if "fork" not in multiprocessing.get_all_start_methods() \
+            or not hasattr(os, "sched_setaffinity"):
+        return 1
+    if threading.active_count() > 1:  # fork copies one thread, not the locks' owners
+        return 1
+    values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
+    try:
+        threads = max((int(v) for v in values if v), default=0)
+    except ValueError:
+        return 1
+    if threads < 1:
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // threads)
+
+
+def _source_blocks(n_sources: int, processes: int) -> list[range]:
+    """Contiguous blocks of source indices, one per process, at most one per
+    source. Block 0 belongs to the caller's process, which also serves the
+    target, so it is never larger than another block."""
+    count = max(1, min(processes, n_sources))
+    sizes = [n_sources // count + (k >= count - n_sources % count) for k in range(count)]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def _cpu_shares(processes: int) -> list[set[int]]:
+    """Disjoint shares of the usable CPUs, one per process (shared round-robin
+    when there are fewer CPUs than processes). Each process of a run is
+    pinned to its share: on a 2-vCPU box the kernel was seen to leave a
+    freshly forked worker on its parent's CPU for over a second, so the
+    processes took turns on one CPU while the other idled."""
+    cpus = sorted(os.sched_getaffinity(0))
+    per = max(1, len(cpus) // processes)
+    return [set(cpus[k * per:(k + 1) * per]) or {cpus[k % len(cpus)]}
+            for k in range(processes)]
+
+
+class _SourceBlock:
+    """The per-source phases of a gala round for the sources at `indices`.
+
+    `train` runs the centroid pass and local training from the broadcast
+    model and keeps the trained heads; `finetune` then fine-tunes them on the
+    aggregated extractor. Every source draws only from its own
+    _rng(seed, round, index, stage), so its results do not depend on which
+    block or process computes it.
+    """
+
+    def __init__(self, cfg: ProtocolConfig, sources: Sequence[DomainDataset],
+                 indices: range):
+        self.cfg, self.indices = cfg, indices
+        self.sources = [sources[i] for i in indices]
+        self.heads: list[Classifier] = []
+
+    def train(self, t: int, lr: float, extractor: FeatureExtractor,
+              classifier: Classifier):
+        cfg = self.cfg
+        centroids = [] if cfg.weighting == "uniform" else [
+            compute_centroids(extractor, classifier, src) for src in self.sources]
+        trained, self.heads, losses = _train_lockstep(
+            cfg, lr, extractor, [classifier] * len(self.sources), self.sources,
+            [_rng(cfg.seed, t, i, 1) for i in self.indices], round_index=t)
+        return centroids, trained, losses
+
+    def finetune(self, t: int, lr: float, aggregated: FeatureExtractor) -> list[Classifier]:
+        cfg = self.cfg
+        _, heads, _ = _train_lockstep(
+            cfg, lr, aggregated, self.heads, self.sources,
+            [_rng(cfg.seed, t, i, 2) for i in self.indices], round_index=t,
+            update_extractor=False)
+        return heads
+
+
+def _serve_block(conn, block: _SourceBlock, extractor: FeatureExtractor,
+                 classifier: Classifier, inherited, cpus: set[int]) -> None:
+    """Worker loop on `cpus`: answer ("train" | "finetune", round, lr, param
+    arrays) requests for `block` until the parent closes its end of the pipe.
+    Only parameter arrays, centroids, losses and exceptions cross it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    os.sched_setaffinity(0, cpus)
+    for other in inherited:  # parent ends of the pipes, so EOF reaches us
+        other.close()
+    spec_g, spec_f = extractor.params.shape_spec, classifier.params.shape_spec
+    while True:
+        try:
+            phase, t, lr, values = conn.recv()
+        except EOFError:
+            return
+        try:
+            if phase == "train":
+                centroids, trained, losses = block.train(
+                    t, lr, extractor.with_params(ParamVec(values[0], spec_g)),
+                    classifier.with_params(ParamVec(values[1], spec_f)))
+                reply = ("ok", centroids, [g.params.values for g in trained], losses)
+            else:
+                heads = block.finetune(t, lr, extractor.with_params(ParamVec(values[0], spec_g)))
+                reply = ("ok", [f.params.values for f in heads])
+        except Exception as exc:  # re-raised by the parent, type and fields kept
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = WorkerError(f"{type(exc).__name__}: {exc}")
+            reply = ("error", exc)
+        conn.send(reply)
+
+
+class _BlockWorker:
+    """A forked process serving one _SourceBlock; `open_pipes` are the parent
+    ends of earlier workers' pipes, which the child closes."""
+
+    def __init__(self, block: _SourceBlock, extractor: FeatureExtractor,
+                 classifier: Classifier, open_pipes: list, cpus: set[int]):
+        ctx = multiprocessing.get_context("fork")
+        self.indices = block.indices
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_serve_block, daemon=True,
+            args=(child, block, extractor, classifier, [*open_pipes, self.conn], cpus))
+        self.process.start()
+        child.close()  # else a dead worker's end stays open here and recv hangs
+
+    def submit(self, phase: str, t: int, lr: float, *models) -> None:
+        try:
+            self.conn.send((phase, t, lr, [m.params.values for m in models]))
+        except OSError:
+            pass  # a dead worker is reported by result()
+
+    def result(self, t: int) -> tuple:
+        """The reply to the last request; raises what the block raised."""
+        try:
+            kind, *payload = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            self.process.join(timeout=5.0)
+            raise WorkerError(
+                f"worker for sources {self.indices.start}-{self.indices.stop - 1} "
+                f"exited with code {self.process.exitcode} in round {t}") from exc
+        if kind == "error":
+            raise payload[0]
+        return payload
+
+    def close(self) -> None:
+        self.conn.close()
+        self.process.terminate()
+        self.process.join()
+
+
+# ---------------------------------------------------------------------------
 # communication and runtime accounting
 
 
@@ -379,6 +561,14 @@ def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
     round_hook, if given, receives a dict of round internals (weights,
     fine-tuned classifiers, merged classifier, partition) after each round;
     it exists for instrumentation and must not mutate its argument.
+
+    Each round's centroid passes, local training and frozen fine-tunes run on
+    up to min(N, usable CPUs // BLAS threads) processes, and on one inside a
+    multiprocessing child, without fork, beside other threads, or with no
+    BLAS thread variable set (module docstring). The records, final models and round_hook arguments
+    are byte-identical for every process count. A NumericError names the
+    round and client as in one process; a worker that dies raises
+    WorkerError. Workers are reaped before this returns or raises.
     """
     if cfg.protocol not in ("gala", "full_pairwise"):
         raise ConfigError("run_gala handles the gala and full_pairwise protocols")
@@ -397,34 +587,76 @@ def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
         cfg, [s.n_samples for s in sources], target_view.n_samples,
         mac_g, mac_f, num_classes)
 
+    blocks = [_SourceBlock(cfg, sources, b)
+              for b in _source_blocks(n, _source_processes())]
+    accounting = (bytes_up, bytes_down, wall_client, wall_server)
+    if len(blocks) == 1:
+        return _gala_rounds(cfg, n, target_view, target_eval, extractor, classifier,
+                            blocks[0], [], accounting, round_hook)
+    shares = _cpu_shares(len(blocks))
+    own_cpus = os.sched_getaffinity(0)
+    workers: list[_BlockWorker] = []
+    try:
+        try:
+            for block, cpus in zip(blocks[1:], shares[1:]):
+                workers.append(_BlockWorker(block, extractor, classifier,
+                                            [w.conn for w in workers], cpus))
+        except OSError:  # no process to spare: this one serves every source
+            while workers:
+                workers.pop().close()
+            blocks = [_SourceBlock(cfg, sources, range(n))]
+        else:
+            os.sched_setaffinity(0, shares[0])
+        return _gala_rounds(cfg, n, target_view, target_eval, extractor, classifier,
+                            blocks[0], workers, accounting, round_hook)
+    finally:
+        os.sched_setaffinity(0, own_cpus)
+        for worker in workers:
+            worker.close()
+
+
+def _gala_rounds(cfg, n, target_view, target_eval, extractor, classifier,
+                 local, workers, accounting, round_hook) -> RunResult:
+    """run_gala's round loop over n sources; `local` is this process's block
+    of them, `workers` serve the following blocks in order."""
+    spec_g, spec_f = extractor.params.shape_spec, classifier.params.shape_spec
     records = []
     for t in range(cfg.rounds):
         lr = lr_schedule(cfg.lr0, t, cfg.gamma)
+
+        # centroid pass and parallel source training from the broadcast model;
+        # the lowest block's error is raised first, as one process would
+        for worker in workers:
+            worker.submit("train", t, lr, extractor, classifier)
+        centroids, trained_g, losses = local.train(t, lr, extractor, classifier)
+        if cfg.weighting != "uniform":
+            target_cent = compute_centroids(extractor, classifier, target_view)
+        trained_g = [g.params for g in trained_g]
+        losses = list(losses)
+        for worker in workers:
+            cents, values, block_losses = worker.result(t)
+            centroids += cents
+            trained_g += [ParamVec(v, spec_g) for v in values]
+            losses += list(block_losses)
+        source_losses = np.array(losses)
 
         # relevance weights from soft centroids under the broadcast model
         if cfg.weighting == "uniform":
             sims = np.zeros(n)
             weights = uniform_weights(n)
         else:
-            target_cent = compute_centroids(extractor, classifier, target_view)
-            sims = np.array([
-                similarity_score(target_cent, compute_centroids(extractor, classifier, src))
-                for src in sources])
+            sims = np.array([similarity_score(target_cent, c) for c in centroids])
             weights = mdmgb_plus(sims, cfg.tau) if cfg.weighting == "mdmgb_plus" \
                 else mdmgb_baseline(sims)
 
-        # parallel source training from the broadcast model
-        trained_g, trained_f, source_losses = _train_lockstep(
-            cfg, lr, extractor, [classifier] * n, sources,
-            [_rng(cfg.seed, t, i, 1) for i in range(n)], round_index=t)
-
         # weighted extractor aggregation, then frozen-extractor fine-tune
-        aggregated = extractor.with_params(
-            weighted_mean([g.params for g in trained_g], weights))
-        _, finetuned, _ = _train_lockstep(
-            cfg, lr, aggregated, trained_f, sources,
-            [_rng(cfg.seed, t, i, 2) for i in range(n)], round_index=t,
-            update_extractor=False)
+        aggregated = extractor.with_params(weighted_mean(trained_g, weights))
+        for worker in workers:
+            worker.submit("finetune", t, lr, aggregated)
+        finetuned = local.finetune(t, lr, aggregated)
+        for worker in workers:
+            (values,) = worker.result(t)
+            finetuned += [classifier.with_params(ParamVec(v, spec_f)) for v in values]
 
         if cfg.protocol == "gala":
             partition = random_partition(n, seed=_partition_seed(cfg.seed, t))
@@ -477,8 +709,7 @@ def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
 
         acc = evaluate_accuracy(extractor, classifier, target_eval)
         records.append(RoundRecord(t, weights, partition, source_losses,
-                                   float(igd_value), acc, bytes_up, bytes_down,
-                                   wall_client, wall_server, lr))
+                                   float(igd_value), acc, *accounting, lr))
         if round_hook is not None:
             round_hook({"round": t, "weights": weights, "similarities": sims,
                         "partition": partition, "finetuned": finetuned,

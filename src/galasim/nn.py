@@ -375,16 +375,6 @@ class OptimizerState:
         return cls(params.zeros_like(), float(momentum), float(weight_decay))
 
 
-def forward_model(extractor: FeatureExtractor, classifier: Classifier, x: np.ndarray) -> np.ndarray:
-    """Probability vector(s) of the composed model classifier(extractor(x))."""
-    if extractor.output_dim != classifier.input_dim:
-        raise ConfigError(
-            f"extractor output_dim {extractor.output_dim} does not match "
-            f"classifier input_dim {classifier.input_dim}"
-        )
-    return classifier.forward(extractor.forward(x))
-
-
 def _as_soft_targets(labels, num_classes: int, batch_ndim: int) -> np.ndarray:
     """Soft targets as given (labels with batch_ndim + 1 axes), or one-hot
     rows of integer class indices."""

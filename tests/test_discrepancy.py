@@ -3,7 +3,7 @@ small-instance enumeration oracle and finite-difference gradient checks."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galasim import (
@@ -17,7 +17,6 @@ from galasim import (
     ProtocolConfig,
     enumerate_partitions,
     full_pairwise_loss,
-    group_predict,
     idd_loss,
     igd_loss,
     random_partition,
@@ -96,13 +95,13 @@ class TestGroupPredict:
         clf = random_classifier(rng)
         gc = GroupClassifier([(0, clf), (1, clf)], np.array([0.3, 0.7]))
         z = rng.standard_normal(3)
-        np.testing.assert_allclose(group_predict(gc, z), clf.forward(z), atol=1e-12)
+        np.testing.assert_allclose(gc.predict(z), clf.forward(z), atol=1e-12)
 
     def test_hand_value(self):
         a = onehot_classifier(3, 2, hot=0)
         b = onehot_classifier(3, 2, hot=1)
         gc = GroupClassifier([(0, a), (1, b)], np.array([0.3, 0.7]))
-        np.testing.assert_allclose(group_predict(gc, np.zeros(3)), [0.3, 0.7], atol=0)
+        np.testing.assert_allclose(gc.predict(np.zeros(3)), [0.3, 0.7], atol=0)
 
     def test_convexity_bounds(self):
         rng = np.random.default_rng(1)
@@ -120,6 +119,95 @@ class TestGroupPredict:
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
             GroupClassifier([(0, random_classifier(rng))], np.array([0.9]))
+
+
+def loop_average(gc, per_member):
+    out = np.zeros_like(per_member[0])
+    for w, q in zip(gc.weights, per_member):
+        out += w * q
+    return out
+
+
+def loop_dfeatures(gc, member_probs, dprobs):
+    dfeat = np.zeros((dprobs.shape[0], gc.input_dim))
+    for w, (_, clf), q in zip(gc.weights, gc.members, member_probs):
+        dq = w * dprobs
+        du = q * (dq - (dq * q).sum(axis=1, keepdims=True))
+        dfeat += du @ clf.params.unpack()["w"]
+    return dfeat
+
+
+def loop_igd_loss(ext, gc1, gc2, x):
+    """The group loss and gradient member by member, each head on its own."""
+    acts = ext.forward_trace(x)
+    q1 = [clf.forward(acts[-1]) for _, clf in gc1.members]
+    q2 = [clf.forward(acts[-1]) for _, clf in gc2.members]
+    diff = loop_average(gc1, q1) - loop_average(gc2, q2)
+    loss = float(np.abs(diff).sum() / x.shape[0])
+    sign = np.sign(diff) / x.shape[0]
+    dfeat = loop_dfeatures(gc1, q1, sign)
+    dfeat += loop_dfeatures(gc2, q2, -sign)
+    return loss, ext.backprop(acts, dfeat)
+
+
+# member weights before normalization: ordinary, tiny and subnormal sizes
+_raw_weight = st.one_of(st.floats(0.05, 1.0), st.sampled_from([1e-300, 1e-320, 5e-324]))
+# head parameters with signed zeros mixed in
+_param = st.one_of(st.floats(-1.5, 1.5, width=64), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def stacked_case(draw):
+    d, c, batch = draw(st.integers(1, 5)), draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    ext = random_extractor(rng, d=d)
+    groups = []
+    for _ in range(2):
+        m = draw(st.integers(1, 8))
+        heads = []
+        for _ in range(m):
+            values = draw(st.lists(_param, min_size=c * d + c, max_size=c * d + c))
+            heads.append(Classifier(d, c, ParamVec(np.array(values),
+                                                   Classifier.shape_spec(d, c))))
+        raw = np.array(draw(st.lists(_raw_weight, min_size=m, max_size=m)))
+        groups.append(GroupClassifier(list(enumerate(heads)), raw / raw.sum()))
+    x = rng.standard_normal((batch, 4))
+    x[rng.random(x.shape) < 0.2] = -0.0
+    return ext, groups[0], groups[1], x
+
+
+class TestStackedHeads:
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacked_case())
+    def test_predict_and_igd_loss_equal_member_loop(self, case):
+        ext, gc1, gc2, x = case
+        z = ext.forward(x)
+        for gc in (gc1, gc2):
+            want = loop_average(gc, [clf.forward(z) for _, clf in gc.members])
+            assert gc.predict(z).tobytes() == want.tobytes()
+            # the member sum starts from +0.0 as the loop does: all -0.0 terms give +0.0
+            terms = np.full((len(gc.members), z.shape[0], gc.num_classes), -0.0)
+            terms[..., ::2] = 0.5
+            assert gc._average(terms).tobytes() == loop_average(gc, list(terms)).tobytes()
+        loss, grad = igd_loss(ext, gc1, gc2, x)
+        want_loss, want_grad = loop_igd_loss(ext, gc1, gc2, x)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.values.tobytes() == want_grad.values.tobytes()
+
+    def test_single_feature_vector_gives_one_prediction(self):
+        rng = np.random.default_rng(18)
+        gc = GroupClassifier([(0, random_classifier(rng)), (1, random_classifier(rng))],
+                             np.array([0.25, 0.75]))
+        z = rng.standard_normal(3)
+        assert gc.predict(z).shape == (3,)
+        assert gc.predict(z).tobytes() == gc.predict(z[None])[0].tobytes()
+
+    def test_feature_dim_mismatch(self):
+        rng = np.random.default_rng(19)
+        gc = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
+        with pytest.raises(ConfigError):
+            gc.predict(np.zeros((2, 4)))
 
 
 class TestIgdLoss:

@@ -3,15 +3,22 @@
 import csv
 import dataclasses
 import logging
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galasim import (
     ConfigError,
     DataError,
     ParseError,
     ProtocolConfig,
+    RoundRecord,
+    WorkerError,
     emit_metrics,
     gen_gaussian_domain,
     parse_config,
@@ -19,7 +26,7 @@ from galasim import (
     run_gala,
 )
 from galasim import load_dataset
-from galasim import experiment
+from galasim import cli, experiment, federation
 from galasim.experiment import DomainEntry, build_domains, _sweep_grid
 
 CONFIG = """
@@ -213,6 +220,66 @@ class TestEmitMetrics:
         assert b"\r" not in blob
 
 
+_any_float = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def csv_records(draw):
+    """Records whose float fields cover signed zeros, infinities, subnormals
+    and a mean_source_loss that is NaN when every source loss is."""
+    n = draw(st.integers(1, 4))
+    records = []
+    for t in range(draw(st.integers(1, 3))):
+        losses = draw(st.lists(st.one_of(_any_float, st.just(float("nan"))),
+                               min_size=n, max_size=n))
+        records.append(RoundRecord(
+            t, np.array(draw(st.lists(_any_float, min_size=n, max_size=n))), None,
+            np.array(losses), draw(_any_float), draw(_any_float), 8, 8,
+            draw(_any_float), draw(_any_float), draw(_any_float)))
+    return records
+
+
+def same_float(got: float, want: float) -> bool:
+    """Bit-exact equality, with every NaN equal to every NaN."""
+    if np.isnan(want):
+        return bool(np.isnan(got))
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestCsvFloats:
+    # an all-NaN mean, and sums of extreme floats overflowing, warn by design
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(records=csv_records())
+    def test_every_float_reads_back_bit_exact(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            emit_metrics(records, path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = list(csv.reader(fh))
+            final = experiment._final_accuracy_from_csv(path)
+        col = {name: k for k, name in enumerate(header)}
+        for rec, row in zip(records, rows, strict=True):
+            want = {"target_acc": rec.target_accuracy, "igd_loss": rec.igd_loss,
+                    "mean_source_loss": float(np.nanmean(rec.source_losses)),
+                    "wall_max_client_ms": rec.wall_max_client_ms,
+                    "wall_server_ms": rec.wall_server_ms, "lr": rec.lr}
+            want.update({f"w_{i}": float(w) for i, w in enumerate(rec.weights)})
+            for name, value in want.items():
+                assert same_float(float(row[col[name]]), value), (name, row[col[name]])
+        assert same_float(final, records[-1].target_accuracy)
+
+    def test_all_nan_source_losses_write_nan(self, tmp_path):
+        rec = RoundRecord(0, np.array([1.0]), None, np.array([np.nan]), -0.0, 0.5,
+                          0, 0, 0.0, 0.0, 0.01)
+        with pytest.warns(RuntimeWarning):
+            emit_metrics([rec], tmp_path / "m.csv")
+        with open(tmp_path / "m.csv", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert row[header.index("mean_source_loss")] == "nan"
+        assert row[header.index("igd_loss")] == "-0.0"
+
+
 class TestRunExperiment:
     def test_runs_and_summary(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
@@ -319,6 +386,33 @@ class TestRunExperiment:
             rows = {r[0]: (int(r[1]), int(r[4])) for r in list(csv.reader(fh))[1:]}
         assert rows == {"tau=0.5": (2, 0), "tau=2.0": (1, 1)}
         assert f"{type(error).__name__}: {error}" in capsys.readouterr().out
+
+    def test_dead_worker_fails_its_run_and_the_cli_exits_3(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # two source processes forced; the worker dies in round 0 of one run
+        parent = os.getpid()
+        real = federation._train_lockstep
+
+        def dying(cfg, *args, **kwargs):
+            if os.getpid() != parent and cfg.tau == 2.0 and cfg.seed == 3:
+                os._exit(9)
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "_source_processes", lambda: 2)
+        monkeypatch.setattr(federation, "_train_lockstep", dying)
+        assert cli.main(["run", str(write_config(tmp_path))]) == 3
+        out = capsys.readouterr().out
+        assert "WorkerError: worker for sources 1-1 exited with code 9 in round 0" in out
+        runs = sorted(p.name for p in (tmp_path / "out" / "runs").iterdir())
+        assert len(runs) == 3 and not any("__tau=2.0__s0__" in name for name in runs)
+
+    def test_cli_maps_a_lost_worker_to_exit_3(self, tmp_path, monkeypatch, capsys):
+        def lost(spec, parallel=1):
+            raise WorkerError("worker for sources 2-3 exited with code -9 in round 4")
+
+        monkeypatch.setattr(cli, "run_experiment", lost)
+        assert cli.main(["run", str(write_config(tmp_path))]) == 3
+        assert "worker lost" in capsys.readouterr().err
 
     def test_summary_write_failing_midway_keeps_previous_summary(self, tmp_path,
                                                                   monkeypatch):

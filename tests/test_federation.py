@@ -2,6 +2,12 @@
 identity, weighting symmetry, communication accounting, and the
 cross-domain matrix."""
 
+import dataclasses
+import multiprocessing
+import os
+import pickle
+import threading
+from time import perf_counter
 from unittest import mock
 
 import numpy as np
@@ -16,6 +22,7 @@ from galasim import (
     NumericError,
     ProtocolConfig,
     TransformSpec,
+    WorkerError,
     account_communication,
     gen_gaussian_domain,
     run_fact_idd,
@@ -27,8 +34,8 @@ from galasim import (
     weighted_mean,
 )
 from galasim import federation
-from galasim.federation import (_init_model, _train_lockstep, evaluate_accuracy,
-                                sample_pair)
+from galasim.federation import (_init_model, _source_blocks, _source_processes,
+                                _train_lockstep, evaluate_accuracy, sample_pair)
 
 
 def small_cfg(**overrides):
@@ -182,6 +189,250 @@ class TestRunGala:
                           sources, target)
         assert result.records[0].partition is None
         assert result.records[0].igd_loss >= 0.0
+
+
+def processes(count):
+    """Force run_gala's process count (the derived rule would give 1 here)."""
+    return mock.patch.object(federation, "_source_processes", lambda: count)
+
+
+def poison(sources, indices):
+    """Huge features with shuffled labels: the source cannot be fit, so each
+    step's update grows until its forward pass overflows in the first epoch."""
+    for i in indices:
+        src = sources[i]
+        labels = np.random.default_rng(0).permutation(src.labels)
+        sources[i] = type(src)(f"poisoned{i}", src.samples * np.float32(3e37),
+                               labels, src.num_classes)
+
+
+def assert_same_run(a, b):
+    """Equal records, field by field and byte for byte, and equal final models."""
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        for f in dataclasses.fields(ra):
+            va, vb = getattr(ra, f.name), getattr(rb, f.name)
+            if isinstance(va, np.ndarray):
+                assert va.shape == vb.shape and va.tobytes() == vb.tobytes(), f.name
+            elif isinstance(va, float):
+                assert np.float64(va).tobytes() == np.float64(vb).tobytes(), f.name
+            else:
+                assert va == vb, f.name
+    assert a.extractor.params.values.tobytes() == b.extractor.params.values.tobytes()
+    assert a.classifier.params.values.tobytes() == b.classifier.params.values.tobytes()
+
+
+class TestSourceProcessRule:
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        for var in federation._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        return monkeypatch
+
+    def test_unset_thread_variables_mean_one_process(self, four_cpus):
+        assert _source_processes() == 1
+
+    @pytest.mark.parametrize("var, value, expected", [
+        ("OPENBLAS_NUM_THREADS", "1", 4), ("OMP_NUM_THREADS", "2", 2),
+        ("MKL_NUM_THREADS", "3", 1), ("OPENBLAS_NUM_THREADS", "8", 1),
+        ("OMP_NUM_THREADS", "0", 1), ("OMP_NUM_THREADS", "two", 1)])
+    def test_usable_cpus_over_blas_threads(self, four_cpus, var, value, expected):
+        four_cpus.setenv(var, value)
+        assert _source_processes() == expected
+
+    def test_largest_thread_count_of_the_set_variables(self, four_cpus):
+        four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
+        four_cpus.setenv("OMP_NUM_THREADS", "2")
+        assert _source_processes() == 2
+
+    def test_without_fork_one_process(self, four_cpus):
+        four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
+        four_cpus.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert _source_processes() == 1
+
+    def test_inside_a_child_process_one_process(self, four_cpus):
+        four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _source_processes() == 4
+        ctx = multiprocessing.get_context("fork")
+        here, there = ctx.Pipe()
+        child = ctx.Process(target=lambda: there.send(_source_processes()))
+        child.start()
+        try:
+            assert here.poll(30) and here.recv() == 1
+        finally:
+            child.join(timeout=30)
+        assert not child.is_alive()
+
+    def test_beside_another_thread_one_process(self, four_cpus):
+        four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert _source_processes() == 1
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive() and _source_processes() == 4
+
+    @given(n=st.integers(1, 20), count=st.integers(1, 8))
+    def test_blocks_are_contiguous_and_block_0_is_smallest(self, n, count):
+        blocks = _source_blocks(n, count)
+        assert len(blocks) == min(n, count)
+        assert [i for b in blocks for i in b] == list(range(n))
+        sizes = [len(b) for b in blocks]
+        assert max(sizes) - min(sizes) <= 1 and sizes[0] == min(sizes)
+
+
+class TestSourceProcesses:
+    @settings(max_examples=25, deadline=None)
+    @given(per_class=st.lists(st.sampled_from([8, 9, 12]), min_size=2, max_size=7),
+           count=st.sampled_from([2, 3]), mixup=st.booleans(),
+           protocol=st.sampled_from(["gala", "full_pairwise"]),
+           weighting=st.sampled_from(["mdmgb_plus", "uniform"]),
+           seed=st.integers(0, 2**16))
+    def test_records_equal_in_process_records(self, per_class, count, mixup, protocol,
+                                              weighting, seed):
+        sources = [gen_gaussian_domain(3, k, 4, seed=seed + i, name=f"s{i}")
+                   for i, k in enumerate(per_class)]
+        _, target = small_suite(seed0=seed)
+        cfg = small_cfg(protocol=protocol, weighting=weighting, batch_size=16, seed=seed,
+                        mixup_alpha=0.4 if mixup else None)
+        serial = run_gala(cfg, sources, target)
+        with processes(count):
+            forked = run_gala(cfg, sources, target)
+        assert_same_run(serial, forked)
+
+    def test_round_hook_sees_the_in_process_models(self):
+        sources, target = small_suite(n_sources=5)
+        seen = {1: [], 2: []}
+        for count in seen:
+            def hook(info, out=seen[count]):
+                out.append(b"".join(f.params.values.tobytes() for f in info["finetuned"]))
+            with processes(count):
+                run_gala(small_cfg(rounds=2), sources, target, round_hook=hook)
+        assert seen[1] == seen[2]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("poisoned", [(2,), (1, 3)])
+    def test_source_training_error_in_a_worker_names_the_client(self, count, poisoned):
+        # with 2 processes sources 2 and 3 train in the worker, with 3 each of
+        # sources 1, 2 and 3 does; the error is the one of a single process
+        sources, target = small_suite()
+        poison(sources, poisoned)
+        cfg = small_cfg(rounds=1, batch_size=16, seed=2)
+        errors = []
+        for forced in (1, count):
+            with processes(forced), pytest.raises(NumericError) as info, \
+                    np.errstate(all="ignore"):
+                run_gala(cfg, sources, target)
+            errors.append(info.value)
+        here, there = errors
+        assert (there.reason, there.round_index, there.client) == \
+            (here.reason, here.round_index, here.client)
+        assert there.client == f"poisoned{poisoned[0]}" and str(there) == str(here)
+
+    def test_numeric_error_keeps_its_fields_through_pickle(self):
+        exc = pickle.loads(pickle.dumps(NumericError("non-finite", round_index=3,
+                                                     client="s1")))
+        assert (exc.reason, exc.round_index, exc.client) == ("non-finite", 3, "s1")
+        assert str(exc) == "non-finite (round 3) (client 's1')"
+
+    def test_other_worker_errors_keep_their_type(self):
+        sources, target = small_suite()
+        parent = os.getpid()
+        real = federation.compute_centroids
+
+        def failing(extractor, classifier, dataset):
+            if os.getpid() != parent:
+                raise DataError(f"cannot read {dataset.name}")
+            return real(extractor, classifier, dataset)
+
+        with processes(2), mock.patch.object(federation, "compute_centroids", failing):
+            with pytest.raises(DataError, match="cannot read"):
+                run_gala(small_cfg(), sources, target)
+
+    def test_dead_worker_is_a_worker_error_within_seconds(self):
+        sources, target = small_suite()
+        parent = os.getpid()
+        real = federation._train_lockstep
+
+        def dying(*args, **kwargs):
+            # the worker dies in its fine-tune of round 1, after a good round 0
+            if os.getpid() != parent and kwargs["round_index"] == 1 \
+                    and kwargs.get("update_extractor") is False:
+                os._exit(9)
+            return real(*args, **kwargs)
+
+        start = perf_counter()
+        with processes(2), mock.patch.object(federation, "_train_lockstep", dying):
+            with pytest.raises(WorkerError, match="exited with code 9 in round 1"):
+                run_gala(small_cfg(rounds=3), sources, target)
+        assert perf_counter() - start < 10.0
+        assert multiprocessing.active_children() == []
+
+    def test_failed_fork_runs_in_one_process(self):
+        sources, target = small_suite(n_sources=5)
+        serial = run_gala(small_cfg(), sources, target)
+        real_start = multiprocessing.process.BaseProcess.start
+        started = []
+
+        def start(process):
+            if started:  # the second worker cannot be forked
+                raise OSError(11, "Resource temporarily unavailable")
+            started.append(process)
+            real_start(process)
+
+        with processes(3), mock.patch.object(multiprocessing.process.BaseProcess,
+                                             "start", start):
+            forked = run_gala(small_cfg(), sources, target)
+        assert_same_run(serial, forked)
+        assert len(started) == 1 and started[0].exitcode is not None
+
+    @pytest.mark.parametrize("exit_path", ["return", "hook raises", "interrupt",
+                                           "error here", "error in worker"])
+    def test_workers_are_reaped_on_every_exit_path(self, exit_path):
+        sources, target = small_suite()
+        if exit_path == "error here":
+            poison(sources, [0])
+        elif exit_path == "error in worker":
+            poison(sources, [3])
+        seen = []
+
+        def hook(info):
+            seen.extend(multiprocessing.active_children())
+            if exit_path == "hook raises":
+                raise RuntimeError("hook failed")
+            if exit_path == "interrupt":
+                raise KeyboardInterrupt
+
+        own_cpus = os.sched_getaffinity(0)
+        expected = {"hook raises": RuntimeError, "interrupt": KeyboardInterrupt,
+                    "error here": NumericError, "error in worker": NumericError}
+        with processes(3), mock.patch.object(federation, "_BlockWorker",
+                                             recording(federation._BlockWorker, seen)), \
+                np.errstate(all="ignore"):
+            cfg = small_cfg(rounds=2, batch_size=16, seed=2)
+            if exit_path == "return":
+                run_gala(cfg, sources, target, round_hook=hook)
+            else:
+                with pytest.raises(expected[exit_path]):
+                    run_gala(cfg, sources, target, round_hook=hook)
+        workers = {id(p): p for p in seen}.values()
+        assert len(workers) == 2
+        assert all(p.exitcode is not None for p in workers)
+        assert multiprocessing.active_children() == []
+        assert os.sched_getaffinity(0) == own_cpus  # the caller's pinning is restored
+
+
+def recording(worker_type, seen):
+    """A _BlockWorker factory that appends each worker's process to `seen`."""
+    def make(*args, **kwargs):
+        worker = worker_type(*args, **kwargs)
+        seen.append(worker.process)
+        return worker
+    return make
 
 
 def assert_lockstep_matches_one_at_a_time(cfg, datasets, seed, update_extractor):

@@ -15,7 +15,6 @@ from galasim import (
     OptimizerState,
     ParamVec,
     cross_entropy_grad,
-    forward_model,
     grad_check,
     head_grad,
     lr_schedule,
@@ -143,7 +142,7 @@ class TestForwardModel:
     def test_zero_weight_classifier_gives_uniform(self):
         extractor, classifier = small_model(num_classes=5)
         classifier = classifier.with_params(classifier.params.zeros_like())
-        p = forward_model(extractor, classifier, np.ones(5))
+        p = classifier.forward(extractor.forward(np.ones(5)))
         np.testing.assert_allclose(p, np.full(5, 0.2), atol=1e-12)
 
     def test_equal_logits_give_half(self):
@@ -157,7 +156,7 @@ class TestForwardModel:
         for seed in range(5):
             extractor, classifier = small_model(seed=seed, hidden=(7, 5))
             x = rng.standard_normal((6, 5))
-            got = forward_model(extractor, classifier, x)
+            got = classifier.forward(extractor.forward(x))
             want = reference_forward(extractor, classifier, x)
             np.testing.assert_allclose(got, want, atol=1e-9)
             np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-9)
@@ -166,10 +165,10 @@ class TestForwardModel:
         extractor, _ = small_model()
         _, classifier = small_model(d=9)
         with pytest.raises(ConfigError):
-            forward_model(extractor, classifier, np.ones(5))
+            classifier.forward(extractor.forward(np.ones(5)))
         ext2, clf2 = small_model()
         with pytest.raises(ConfigError):
-            forward_model(ext2, clf2, np.ones(11))
+            clf2.forward(ext2.forward(np.ones(11)))
 
 
 class TestCrossEntropy:
