@@ -81,11 +81,8 @@ from .federation import (
     RoundRecord,
     RunResult,
     account_communication,
-    run_fact_idd,
     run_gala,
-    run_oracle,
     run_protocol,
-    run_source_only,
     similarity_matrix,
 )
 from .experiment import (

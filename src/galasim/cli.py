@@ -21,7 +21,7 @@ import numpy as np
 
 from .discrepancy import GroupClassifier, away_from_kinks, igd_loss, random_partition
 from .errors import ConfigError, GalaError, NumericError, ParseError, WorkerError
-from .experiment import build_domains, parse_config, run_experiment
+from .experiment import _atomic_write, build_domains, parse_config, run_experiment
 from .federation import similarity_matrix
 from .nn import (
     Classifier,
@@ -50,11 +50,15 @@ def _cmd_simmatrix(args) -> int:
     matrix = similarity_matrix([domains[n] for n in names], spec.protocol)
     out_path = Path(spec.output_dir) / "simmatrix.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["train\\eval"] + names)
-        for name, row in zip(names, matrix):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+
+    def write(tmp):
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["train\\eval"] + names)
+            for name, row in zip(names, matrix):
+                writer.writerow([name] + [repr(float(v)) for v in row])
+
+    _atomic_write(out_path, write)  # an error midway leaves the previous matrix
     width = max(8, max(len(n) for n in names) + 2)
     print("cross-domain accuracy (row = trained on, column = evaluated on)")
     print(" " * width + "".join(f"{n:>{width}}" for n in names))

@@ -1,12 +1,16 @@
 """Round-based federated protocol simulator.
 
-Implements the full group-weighted adaptation round (broadcast, soft
-centroids, temperature weighting, parallel source training, weighted
-extractor aggregation, frozen-extractor fine-tuning, random partition,
-group-classifier construction, adversarial target update, classifier merge)
-together with the comparison protocols: random-pair disagreement training,
-full pairwise alignment, pooled source-only averaging, and the labeled-target
-oracle.
+One round engine, `run_protocol`, runs the group-weighted adaptation protocol
+(gala) and the comparison protocols: random-pair disagreement training
+(fact_idd), full pairwise alignment, pooled source-only averaging and the
+labeled-target oracle. A round trains clients from the broadcast model,
+weights them, aggregates their extractors, optionally fine-tunes the heads,
+runs a target stage, merges the heads and evaluates. Protocols differ only in
+the clients (every source, the pair `sample_pair` draws, or the labeled
+target), the weights (by centroids for gala and full_pairwise, else equal),
+the frozen-extractor fine-tune (gala and full_pairwise), the target stage (a
+`_target_pass` on gala's group loss, the pair's loss or the sum of all pair
+losses; none for source_only and oracle) and the merge rule.
 
 Communication is simulated, not performed: byte counts price every float
 crossing the client/server boundary at 4 bytes (the target is co-located
@@ -15,8 +19,8 @@ likewise a deterministic work model (multiply-accumulate counts at a nominal
 rate), so reruns of a config are bit-identical; evaluation passes are
 instrumentation and are not charged.
 
-The per-source work of a `run_gala` round (centroid pass, local training and
-frozen fine-tune) runs on several processes when that can help: the sources
+The per-source work of a gala or full_pairwise round (centroid pass, local
+training and frozen fine-tune) runs on several processes when that can help: the sources
 split into contiguous blocks, the caller's process serves the first, and one
 forked worker per further block serves the rest; for the run, each process is
 pinned to its own share of the usable CPUs (the caller's affinity is restored
@@ -40,7 +44,9 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -331,17 +337,17 @@ def _cpu_shares(processes: int) -> list[set[int]]:
 
 
 class _SourceBlock:
-    """The per-source phases of a gala round for the sources at `indices`.
+    """The per-client phases of a round for the clients sources[i], i in
+    `indices` (`sources` maps seed nodes to datasets).
 
-    `train` runs the centroid pass and local training from the broadcast
-    model and keeps the trained heads; `finetune` then fine-tunes them on the
-    aggregated extractor. Every source draws only from its own
-    _rng(seed, round, index, stage), so its results do not depend on which
-    block or process computes it.
+    `train` runs the centroid pass (gala and full_pairwise) and local
+    training from the broadcast model and keeps the trained heads; `finetune`
+    then fine-tunes them on the aggregated extractor. Every client draws only
+    from its own _rng(seed, round, index, stage), so its results do not
+    depend on which block or process computes it.
     """
 
-    def __init__(self, cfg: ProtocolConfig, sources: Sequence[DomainDataset],
-                 indices: range):
+    def __init__(self, cfg: ProtocolConfig, sources, indices: Sequence[int]):
         self.cfg, self.indices = cfg, indices
         self.sources = [sources[i] for i in indices]
         self.heads: list[Classifier] = []
@@ -349,12 +355,13 @@ class _SourceBlock:
     def train(self, t: int, lr: float, extractor: FeatureExtractor,
               classifier: Classifier):
         cfg = self.cfg
-        centroids = [] if cfg.weighting == "uniform" else [
-            compute_centroids(extractor, classifier, src) for src in self.sources]
+        weighted = cfg.weighting != "uniform" and cfg.protocol in ("gala", "full_pairwise")
+        centroids = [compute_centroids(extractor, classifier, src)
+                     for src in self.sources] if weighted else []
         trained, self.heads, losses = _train_lockstep(
             cfg, lr, extractor, [classifier] * len(self.sources), self.sources,
             [_rng(cfg.seed, t, i, 1) for i in self.indices], round_index=t)
-        return centroids, trained, losses
+        return centroids, [g.params for g in trained], list(losses)
 
     def finetune(self, t: int, lr: float, aggregated: FeatureExtractor) -> list[Classifier]:
         cfg = self.cfg
@@ -385,7 +392,7 @@ def _serve_block(conn, block: _SourceBlock, extractor: FeatureExtractor,
                 centroids, trained, losses = block.train(
                     t, lr, extractor.with_params(ParamVec(values[0], spec_g)),
                     classifier.with_params(ParamVec(values[1], spec_f)))
-                reply = ("ok", centroids, [g.params.values for g in trained], losses)
+                reply = ("ok", centroids, [p.values for p in trained], losses)
             else:
                 heads = block.finetune(t, lr, extractor.with_params(ParamVec(values[0], spec_g)))
                 reply = ("ok", [f.params.values for f in heads])
@@ -521,202 +528,11 @@ def _round_wall_model(cfg: ProtocolConfig, source_sizes: Sequence[int],
 # protocol runs
 
 
-def _validate_setup(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
-                    target: DomainDataset, min_sources: int) -> None:
-    cfg.validate()
-    if len(sources) < min_sources:
-        raise ConfigError(
-            f"protocol {cfg.protocol!r} needs at least {min_sources} sources, "
-            f"got {len(sources)}")
-    dims = {d.feature_dim for d in (*sources, target)}
-    if len(dims) != 1:
-        raise ConfigError(f"datasets disagree on feature dim: {sorted(dims)}")
-    classes = {d.num_classes for d in (*sources, target)}
-    if len(classes) != 1:
-        raise ConfigError(f"datasets disagree on class count: {sorted(classes)}")
-    for d in sources:
-        if d.labels is None:
-            raise DataError(f"source domain {d.name!r} must be labeled")
-
-
 def _init_model(cfg: ProtocolConfig, input_dim: int, num_classes: int):
     rng = _rng(cfg.seed, 0, _SERVER_NODE, 0)
     extractor = FeatureExtractor.init(input_dim, cfg.hidden_dims, cfg.feature_dim, rng)
     classifier = Classifier.init(cfg.feature_dim, num_classes, rng)
     return extractor, classifier
-
-
-def _split_target(cfg: ProtocolConfig, target: DomainDataset):
-    train, test = target.split(1.0 - cfg.eval_fraction, seed=cfg.seed)
-    return train, test
-
-
-def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
-             target: DomainDataset, round_hook=None) -> RunResult:
-    """Run the group-weighted adaptation protocol (or, when cfg.protocol is
-    ``full_pairwise``, the quadratic all-pairs variant used for comparison).
-
-    Target labels are consulted only by the held-out evaluation split; the
-    round loop sees an unlabeled view of the target training split.
-    round_hook, if given, receives a dict of round internals (weights,
-    fine-tuned classifiers, merged classifier, partition) after each round;
-    it exists for instrumentation and must not mutate its argument.
-
-    Each round's centroid passes, local training and frozen fine-tunes run on
-    up to min(N, usable CPUs // BLAS threads) processes, and on one inside a
-    multiprocessing child, without fork, beside other threads, or with no
-    BLAS thread variable set (module docstring). The records, final models and round_hook arguments
-    are byte-identical for every process count. A NumericError names the
-    round and client as in one process; a worker that dies raises
-    WorkerError. Workers are reaped before this returns or raises.
-    """
-    if cfg.protocol not in ("gala", "full_pairwise"):
-        raise ConfigError("run_gala handles the gala and full_pairwise protocols")
-    _validate_setup(cfg, sources, target, min_sources=2)
-    n = len(sources)
-    num_classes = target.num_classes
-    target_train, target_eval = _split_target(cfg, target)
-    target_view = target_train.strip_labels()
-
-    extractor, classifier = _init_model(cfg, target.feature_dim, num_classes)
-    mac_g, mac_f = _mac_extractor(extractor), cfg.feature_dim * num_classes
-    bytes_up, bytes_down = account_communication(
-        cfg.protocol, n, extractor.params.size, classifier.params.size,
-        num_classes, cfg.feature_dim, cfg.weighting)
-    wall_client, wall_server = _round_wall_model(
-        cfg, [s.n_samples for s in sources], target_view.n_samples,
-        mac_g, mac_f, num_classes)
-
-    blocks = [_SourceBlock(cfg, sources, b)
-              for b in _source_blocks(n, _source_processes())]
-    accounting = (bytes_up, bytes_down, wall_client, wall_server)
-    if len(blocks) == 1:
-        return _gala_rounds(cfg, n, target_view, target_eval, extractor, classifier,
-                            blocks[0], [], accounting, round_hook)
-    shares = _cpu_shares(len(blocks))
-    own_cpus = os.sched_getaffinity(0)
-    workers: list[_BlockWorker] = []
-    try:
-        try:
-            for block, cpus in zip(blocks[1:], shares[1:]):
-                workers.append(_BlockWorker(block, extractor, classifier,
-                                            [w.conn for w in workers], cpus))
-        except OSError:  # no process to spare: this one serves every source
-            while workers:
-                workers.pop().close()
-            blocks = [_SourceBlock(cfg, sources, range(n))]
-        else:
-            os.sched_setaffinity(0, shares[0])
-        return _gala_rounds(cfg, n, target_view, target_eval, extractor, classifier,
-                            blocks[0], workers, accounting, round_hook)
-    finally:
-        os.sched_setaffinity(0, own_cpus)
-        for worker in workers:
-            worker.close()
-
-
-def _gala_rounds(cfg, n, target_view, target_eval, extractor, classifier,
-                 local, workers, accounting, round_hook) -> RunResult:
-    """run_gala's round loop over n sources; `local` is this process's block
-    of them, `workers` serve the following blocks in order."""
-    spec_g, spec_f = extractor.params.shape_spec, classifier.params.shape_spec
-    records = []
-    for t in range(cfg.rounds):
-        lr = lr_schedule(cfg.lr0, t, cfg.gamma)
-
-        # centroid pass and parallel source training from the broadcast model;
-        # the lowest block's error is raised first, as one process would
-        for worker in workers:
-            worker.submit("train", t, lr, extractor, classifier)
-        centroids, trained_g, losses = local.train(t, lr, extractor, classifier)
-        if cfg.weighting != "uniform":
-            target_cent = compute_centroids(extractor, classifier, target_view)
-        trained_g = [g.params for g in trained_g]
-        losses = list(losses)
-        for worker in workers:
-            cents, values, block_losses = worker.result(t)
-            centroids += cents
-            trained_g += [ParamVec(v, spec_g) for v in values]
-            losses += list(block_losses)
-        source_losses = np.array(losses)
-
-        # relevance weights from soft centroids under the broadcast model
-        if cfg.weighting == "uniform":
-            sims = np.zeros(n)
-            weights = uniform_weights(n)
-        else:
-            sims = np.array([similarity_score(target_cent, c) for c in centroids])
-            weights = mdmgb_plus(sims, cfg.tau) if cfg.weighting == "mdmgb_plus" \
-                else mdmgb_baseline(sims)
-
-        # weighted extractor aggregation, then frozen-extractor fine-tune
-        aggregated = extractor.with_params(weighted_mean(trained_g, weights))
-        for worker in workers:
-            worker.submit("finetune", t, lr, aggregated)
-        finetuned = local.finetune(t, lr, aggregated)
-        for worker in workers:
-            (values,) = worker.result(t)
-            finetuned += [classifier.with_params(ParamVec(v, spec_f)) for v in values]
-
-        if cfg.protocol == "gala":
-            partition = random_partition(n, seed=_partition_seed(cfg.seed, t))
-            # runtime guard: the group-renormalized weights must stay the
-            # exact restriction of the globals (the round is invalid otherwise);
-            # a weight that underflows to zero at a large tau fails it
-            try:
-                group_w = group_normalize(weights, partition)
-                DomainWeights(weights, group_w, sims, cfg.tau, partition).validate(1e-9)
-            except ValueError as exc:
-                raise NumericError(str(exc), round_index=t, client="server") from exc
-            groups = []
-            for members in (partition.g1, partition.g2):
-                groups.append(GroupClassifier(
-                    [(i, finetuned[i]) for i in members],
-                    group_w[list(members)]))
-            gc1, gc2 = groups
-            w_g1 = float(weights[list(partition.g1)].sum())
-            w_g2 = float(weights[list(partition.g2)].sum())
-
-            try:
-                if cfg.use_igd:
-                    extractor, igd_value = _igd_pass(
-                        cfg, aggregated, gc1, gc2, target_view, lr,
-                        _rng(cfg.seed, t, _TARGET_NODE, 3))
-                else:
-                    igd_value, _ = igd_loss(aggregated, gc1, gc2,
-                                            target_view.samples.astype(np.float64))
-                    extractor = aggregated
-            except NumericError as exc:
-                raise NumericError(str(exc), round_index=t, client="target") from exc
-
-            # parameter-space merge; equals sum_n w_n F_n by weight cancellation
-            f_g1 = weighted_mean([finetuned[i].params for i in partition.g1],
-                                 group_w[list(partition.g1)])
-            f_g2 = weighted_mean([finetuned[i].params for i in partition.g2],
-                                 group_w[list(partition.g2)])
-            classifier = classifier.with_params(
-                weighted_mean([f_g1, f_g2], [w_g1, w_g2]))
-        else:  # full_pairwise
-            partition = None
-            try:
-                extractor, igd_value = _full_pairwise_pass(
-                    cfg, aggregated, finetuned, target_view, lr,
-                    _rng(cfg.seed, t, _TARGET_NODE, 3))
-            except NumericError as exc:
-                raise NumericError(str(exc), round_index=t, client="target") from exc
-            classifier = classifier.with_params(
-                weighted_mean([f.params for f in finetuned], weights))
-
-        acc = evaluate_accuracy(extractor, classifier, target_eval)
-        records.append(RoundRecord(t, weights, partition, source_losses,
-                                   float(igd_value), acc, *accounting, lr))
-        if round_hook is not None:
-            round_hook({"round": t, "weights": weights, "similarities": sims,
-                        "partition": partition, "finetuned": finetuned,
-                        "classifier": classifier, "extractor": extractor})
-    metadata = {"protocol": cfg.protocol, "weighting": cfg.weighting,
-                "use_igd": cfg.use_igd, "n_sources": n}
-    return RunResult(records, extractor, classifier, metadata)
 
 
 def _partition_seed(seed: int, round_index: int) -> int:
@@ -730,9 +546,40 @@ def sample_pair(seed: int, round_index: int, n_sources: int) -> tuple[int, int]:
     return pairs[_rng(seed, round_index, _SERVER_NODE, 4).integers(len(pairs))]
 
 
-def _igd_pass(cfg, extractor, gc1, gc2, target_view, lr, rng):
-    """One target stage: local_epochs of minibatch SGD on the group loss,
-    updating only the extractor. Returns it and the mean batch loss."""
+@contextmanager
+def _source_pool(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
+                 extractor: FeatureExtractor, classifier: Classifier):
+    """Yields (this process's _SourceBlock, the _BlockWorkers of the further
+    blocks); reaps them and restores this process's affinity on every exit."""
+    blocks = [_SourceBlock(cfg, sources, b)
+              for b in _source_blocks(len(sources), _source_processes())]
+    if len(blocks) == 1:
+        yield blocks[0], []
+        return
+    shares = _cpu_shares(len(blocks))
+    own_cpus = os.sched_getaffinity(0)
+    workers: list[_BlockWorker] = []
+    try:
+        try:
+            for block, cpus in zip(blocks[1:], shares[1:]):
+                workers.append(_BlockWorker(block, extractor, classifier,
+                                            [w.conn for w in workers], cpus))
+        except OSError:  # no process to spare: this one serves every source
+            while workers:
+                workers.pop().close()
+            blocks = [_SourceBlock(cfg, sources, range(len(sources)))]
+        else:
+            os.sched_setaffinity(0, shares[0])
+        yield blocks[0], workers
+    finally:
+        os.sched_setaffinity(0, own_cpus)
+        for worker in workers:
+            worker.close()
+
+
+def _target_pass(cfg, extractor, target_view, lr, rng, loss_and_grad):
+    """One target stage: local_epochs of minibatch SGD of the extractor alone on
+    loss_and_grad(extractor, batch) -> (loss, gradient); returns it and the mean loss."""
     opt = OptimizerState.for_params(extractor.params, cfg.momentum, cfg.weight_decay)
     data = target_view.samples
     losses = []
@@ -740,7 +587,7 @@ def _igd_pass(cfg, extractor, gc1, gc2, target_view, lr, rng):
         order = rng.permutation(data.shape[0])
         for start in range(0, data.shape[0], cfg.batch_size):
             batch = data[order[start : start + cfg.batch_size]].astype(np.float64)
-            loss, grad = igd_loss(extractor, gc1, gc2, batch)
+            loss, grad = loss_and_grad(extractor, batch)
             if not np.isfinite(loss):
                 raise NumericError("non-finite group-discrepancy loss")
             losses.append(loss)
@@ -748,159 +595,186 @@ def _igd_pass(cfg, extractor, gc1, gc2, target_view, lr, rng):
     return extractor, float(np.mean(losses))
 
 
-def _full_pairwise_pass(cfg, extractor, classifiers, target_view, lr, rng):
-    """Target stage minimizing the sum of all pair losses (quadratic cost)."""
-    opt = OptimizerState.for_params(extractor.params, cfg.momentum, cfg.weight_decay)
-    data = target_view.samples
-    pairs = list(itertools.combinations(range(len(classifiers)), 2))
-    losses = []
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(data.shape[0])
-        for start in range(0, data.shape[0], cfg.batch_size):
-            batch = data[order[start : start + cfg.batch_size]].astype(np.float64)
-            total = 0.0
-            grad = extractor.params.zeros_like()
-            for i, j in pairs:
-                loss_ij, grad_ij = idd_loss(extractor, classifiers[i], classifiers[j], batch)
-                total += loss_ij
-                grad = grad.add(grad_ij)
-            losses.append(total)
-            extractor = extractor.with_params(sgd_step(extractor.params, grad, opt, lr))
-    return extractor, float(np.mean(losses))
-
-
-def run_fact_idd(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
-                 target: DomainDataset) -> RunResult:
-    """Random-pair disagreement protocol: each round samples two sources,
-    trains them, aggregates their extractors equally, and minimizes the pair
-    disagreement on the target.
-
-    This is a variance-faithful stand-in for pair-sampling adversarial
-    training, not a reimplementation of any published system; the pair
-    aggregation rule is this library's convention (see metadata).
-    """
-    if cfg.protocol != "fact_idd":
-        raise ConfigError("run_fact_idd requires cfg.protocol == 'fact_idd'")
-    _validate_setup(cfg, sources, target, min_sources=2)
-    n = len(sources)
-    num_classes = target.num_classes
-    target_train, target_eval = _split_target(cfg, target)
-    target_view = target_train.strip_labels()
-    extractor, classifier = _init_model(cfg, target.feature_dim, num_classes)
-    mac_g, mac_f = _mac_extractor(extractor), cfg.feature_dim * num_classes
-    bytes_up, bytes_down = account_communication(
-        "fact_idd", n, extractor.params.size, classifier.params.size,
-        num_classes, cfg.feature_dim)
-
-    records = []
-    for t in range(cfg.rounds):
-        lr = lr_schedule(cfg.lr0, t, cfg.gamma)
-        pair = sample_pair(cfg.seed, t, n)
-        pair_g, pair_f, pair_losses = _train_lockstep(
-            cfg, lr, extractor, [classifier] * 2, [sources[i] for i in pair],
-            [_rng(cfg.seed, t, i, 1) for i in pair], round_index=t)
-        source_losses = np.full(n, np.nan)
-        source_losses[list(pair)] = pair_losses
-
-        aggregated = extractor.with_params(weighted_mean(
-            [g.params for g in pair_g], [0.5, 0.5]))
-        gc = [GroupClassifier([(i, f)], np.array([1.0])) for i, f in zip(pair, pair_f)]
-        try:
-            extractor, idd_value = _igd_pass(cfg, aggregated, gc[0], gc[1],
-                                             target_view, lr,
-                                             _rng(cfg.seed, t, _TARGET_NODE, 3))
-        except NumericError as exc:
-            raise NumericError(str(exc), round_index=t, client="target") from exc
-        classifier = classifier.with_params(weighted_mean(
-            [f.params for f in pair_f], [0.5, 0.5]))
-
-        weights = np.zeros(n)
-        weights[list(pair)] = 0.5
-        wall_client, wall_server = _round_wall_model(
-            cfg, [sources[i].n_samples for i in pair], target_view.n_samples,
-            mac_g, mac_f, num_classes)
-        acc = evaluate_accuracy(extractor, classifier, target_eval)
-        records.append(RoundRecord(t, weights, None, source_losses,
-                                   float(idd_value), acc, bytes_up, bytes_down,
-                                   wall_client, wall_server, lr))
-    metadata = {"protocol": "fact_idd (reimplementation)", "n_sources": n}
-    return RunResult(records, extractor, classifier, metadata)
-
-
-def run_source_only(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
-                    target: DomainDataset) -> RunResult:
-    """Uniform federated averaging of supervised source training; no
-    adaptation. The lower reference point."""
-    if cfg.protocol != "source_only":
-        raise ConfigError("run_source_only requires cfg.protocol == 'source_only'")
-    _validate_setup(cfg, sources, target, min_sources=1)
-    n = len(sources)
-    num_classes = target.num_classes
-    _, target_eval = _split_target(cfg, target)
-    extractor, classifier = _init_model(cfg, target.feature_dim, num_classes)
-    mac_g, mac_f = _mac_extractor(extractor), cfg.feature_dim * num_classes
-    bytes_up, bytes_down = account_communication(
-        "source_only", n, extractor.params.size, classifier.params.size,
-        num_classes, cfg.feature_dim)
-    weights = uniform_weights(n)
-    wall_client, wall_server = _round_wall_model(
-        cfg, [s.n_samples for s in sources], 0, mac_g, mac_f, num_classes)
-
-    records = []
-    for t in range(cfg.rounds):
-        lr = lr_schedule(cfg.lr0, t, cfg.gamma)
-        g_list, f_list, source_losses = _train_lockstep(
-            cfg, lr, extractor, [classifier] * n, sources,
-            [_rng(cfg.seed, t, i, 1) for i in range(n)], round_index=t)
-        extractor = extractor.with_params(weighted_mean([g.params for g in g_list], weights))
-        classifier = classifier.with_params(weighted_mean([f.params for f in f_list], weights))
-        acc = evaluate_accuracy(extractor, classifier, target_eval)
-        records.append(RoundRecord(t, weights, None, source_losses, 0.0, acc,
-                                   bytes_up, bytes_down, wall_client, wall_server, lr))
-    return RunResult(records, extractor, classifier,
-                     {"protocol": "source_only", "n_sources": n})
-
-
-def run_oracle(cfg: ProtocolConfig, target: DomainDataset) -> RunResult:
-    """Supervised training on the labeled target; the upper reference point."""
-    if cfg.protocol != "oracle":
-        raise ConfigError("run_oracle requires cfg.protocol == 'oracle'")
-    cfg.validate()
-    if target.labels is None:
-        raise DataError("oracle training needs a labeled target")
-    target_train, target_eval = _split_target(cfg, target)
-    extractor, classifier = _init_model(cfg, target.feature_dim, target.num_classes)
-    mac_g, mac_f = _mac_extractor(extractor), cfg.feature_dim * target.num_classes
-    wall_client, wall_server = _round_wall_model(
-        cfg, [], target_train.n_samples, mac_g, mac_f, target.num_classes)
-
-    records = []
-    for t in range(cfg.rounds):
-        lr = lr_schedule(cfg.lr0, t, cfg.gamma)
-        try:
-            (extractor,), (classifier,), loss = _train_lockstep(
-                cfg, lr, extractor, [classifier], [target_train],
-                [_rng(cfg.seed, t, _TARGET_NODE, 1)])
-        except NumericError as exc:
-            raise NumericError(exc.reason, round_index=t, client="target") from exc
-        acc = evaluate_accuracy(extractor, classifier, target_eval)
-        records.append(RoundRecord(t, np.zeros(0), None, loss, 0.0,
-                                   acc, 0, 0, wall_client, wall_server, lr))
-    return RunResult(records, extractor, classifier, {"protocol": "oracle"})
+def _pairwise_loss(heads: Sequence[Classifier], extractor: FeatureExtractor, batch):
+    """full_pairwise's batch loss: idd_loss summed over all pairs of heads,
+    in pair order (quadratic cost)."""
+    total, grad = 0.0, extractor.params.zeros_like()
+    for head_i, head_j in itertools.combinations(heads, 2):
+        loss, grad_ij = idd_loss(extractor, head_i, head_j, batch)
+        total += loss
+        grad = grad.add(grad_ij)
+    return total, grad
 
 
 def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
-                 target: DomainDataset) -> RunResult:
-    """Dispatch on cfg.protocol."""
-    if cfg.protocol in ("gala", "full_pairwise"):
-        return run_gala(cfg, sources, target)
-    if cfg.protocol == "fact_idd":
-        return run_fact_idd(cfg, sources, target)
-    if cfg.protocol == "source_only":
-        return run_source_only(cfg, sources, target)
-    if cfg.protocol == "oracle":
-        return run_oracle(cfg, target)
-    raise ConfigError(f"unknown protocol {cfg.protocol!r}")
+                 target: DomainDataset, round_hook=None) -> RunResult:
+    """Run cfg.protocol (module docstring); the oracle ignores `sources`.
+
+    Target labels are consulted only by the held-out evaluation split and the
+    oracle's training; the target stage sees an unlabeled view. round_hook,
+    if given, receives a dict of round internals after each round's
+    evaluation (round, weights, similarities, partition, fine-tuned
+    classifiers, merged classifier, extractor; None where a protocol has no
+    similarities, partition or fine-tuned heads); it exists for
+    instrumentation and must not mutate its argument.
+
+    gala and full_pairwise run their per-source work on source processes
+    (module docstring). Records, final models and round_hook arguments are
+    byte-identical for every process count, and a NumericError names the
+    round and client as in one process; a worker that dies raises
+    WorkerError. Workers are reaped before this returns or raises.
+    """
+    cfg.validate()
+    protocol = cfg.protocol
+    if protocol == "oracle":
+        sources = []
+        if target.labels is None:
+            raise DataError("oracle training needs a labeled target")
+    min_sources = {"oracle": 0, "source_only": 1}.get(protocol, 2)
+    if len(sources) < min_sources:
+        raise ConfigError(
+            f"protocol {protocol!r} needs at least {min_sources} sources, got {len(sources)}")
+    for what, key in (("feature dim", "feature_dim"), ("class count", "num_classes")):
+        values = {getattr(d, key) for d in (*sources, target)}
+        if len(values) != 1:
+            raise ConfigError(f"datasets disagree on {what}: {sorted(values)}")
+    for d in sources:
+        if d.labels is None:
+            raise DataError(f"source domain {d.name!r} must be labeled")
+
+    n, num_classes = len(sources), target.num_classes
+    target_train, target_eval = target.split(1.0 - cfg.eval_fraction, seed=cfg.seed)
+    target_view = target_train.strip_labels()
+    extractor, classifier = _init_model(cfg, target.feature_dim, num_classes)
+    spec_g, spec_f = extractor.params.shape_spec, classifier.params.shape_spec
+    mac_g, mac_f = _mac_extractor(extractor), cfg.feature_dim * num_classes
+    traffic = account_communication(protocol, n, extractor.params.size, classifier.params.size,
+                                    num_classes, cfg.feature_dim, cfg.weighting)
+    wall = _round_wall_model(cfg, [s.n_samples for s in sources], target_view.n_samples,
+                             mac_g, mac_f, num_classes)
+    pooled = protocol in ("gala", "full_pairwise")  # centroids, fine-tune, processes
+    # the clients that may train, by seed node; the oracle's is the target
+    clients = {_TARGET_NODE: replace(target_train, name="target")} \
+        if protocol == "oracle" else dict(enumerate(sources))
+    pool = _source_pool(cfg, sources, extractor, classifier) if pooled \
+        else nullcontext((_SourceBlock(cfg, clients, list(clients)), []))
+
+    records = []
+    with pool as (local, workers):
+        for t in range(cfg.rounds):
+            lr = lr_schedule(cfg.lr0, t, cfg.gamma)
+            sims = partition = finetuned = stage_loss = None
+            if protocol == "fact_idd":  # this round's pair trains; the wall model prices it
+                local = _SourceBlock(cfg, clients, sample_pair(cfg.seed, t, n))
+                wall = _round_wall_model(cfg, [s.n_samples for s in local.sources],
+                                         target_view.n_samples, mac_g, mac_f, num_classes)
+
+            # client training from the broadcast model; the lowest block's
+            # error is raised first, as one process would
+            for worker in workers:
+                worker.submit("train", t, lr, extractor, classifier)
+            centroids, trained, losses = local.train(t, lr, extractor, classifier)
+            if pooled and cfg.weighting != "uniform":
+                target_cent = compute_centroids(extractor, classifier, target_view)
+            for worker in workers:
+                cents, values, block_losses = worker.result(t)
+                centroids += cents
+                trained += [ParamVec(v, spec_g) for v in values]
+                losses += list(block_losses)
+            source_losses = np.array(losses)
+
+            # the weights: equal over the clients that trained, or by centroids
+            if not pooled:
+                mix, weights = uniform_weights(len(losses)), np.zeros(n)  # oracle: no source
+                if sources:
+                    weights[list(local.indices)], source_losses = mix, np.full(n, np.nan)
+                    source_losses[list(local.indices)] = losses
+            elif cfg.weighting == "uniform":
+                sims = np.zeros(n)
+                mix = weights = uniform_weights(n)
+            else:
+                sims = np.array([similarity_score(target_cent, c) for c in centroids])
+                mix = weights = mdmgb_plus(sims, cfg.tau) if cfg.weighting == "mdmgb_plus" \
+                    else mdmgb_baseline(sims)
+
+            # extractor aggregation, then gala's and full_pairwise's frozen fine-tune
+            aggregated = extractor.with_params(
+                trained[0] if protocol == "oracle" else weighted_mean(trained, mix))
+            heads = local.heads
+            if pooled:
+                for worker in workers:
+                    worker.submit("finetune", t, lr, aggregated)
+                heads = finetuned = local.finetune(t, lr, aggregated)
+                for worker in workers:
+                    (values,) = worker.result(t)
+                    heads += [classifier.with_params(ParamVec(v, spec_f)) for v in values]
+
+            # the target stage's batch loss
+            if protocol == "gala":
+                partition = random_partition(n, seed=_partition_seed(cfg.seed, t))
+                # runtime guard: the group-renormalized weights must stay the
+                # exact restriction of the globals (the round is invalid otherwise);
+                # a weight that underflows to zero at a large tau fails it
+                try:
+                    group_w = group_normalize(weights, partition)
+                    DomainWeights(weights, group_w, sims, cfg.tau, partition).validate(1e-9)
+                except ValueError as exc:
+                    raise NumericError(str(exc), round_index=t, client="server") from exc
+                groups = [list(partition.g1), list(partition.g2)]
+                gc1, gc2 = (GroupClassifier([(i, heads[i]) for i in g], group_w[g])
+                            for g in groups)
+            elif protocol == "fact_idd":
+                gc1, gc2 = (GroupClassifier([(i, f)], np.array([1.0]))
+                            for i, f in zip(local.indices, heads))
+            if protocol == "full_pairwise":
+                stage_loss = partial(_pairwise_loss, heads)
+            elif protocol == "fact_idd" or (protocol == "gala" and cfg.use_igd):
+                stage_loss = lambda g, batch: igd_loss(g, gc1, gc2, batch)  # noqa: E731
+            extractor, disagreement = aggregated, 0.0
+            try:
+                if stage_loss is not None:
+                    extractor, disagreement = _target_pass(
+                        cfg, aggregated, target_view, lr, _rng(cfg.seed, t, _TARGET_NODE, 3),
+                        stage_loss)
+                elif protocol == "gala":  # the ablation still measures the group loss
+                    disagreement, _ = igd_loss(aggregated, gc1, gc2,
+                                               target_view.samples.astype(np.float64))
+            except NumericError as exc:
+                raise NumericError(str(exc), round_index=t, client="target") from exc
+
+            # head merge
+            if protocol == "gala":
+                # parameter-space merge; equals sum_n w_n F_n by weight cancellation
+                merged = weighted_mean(
+                    [weighted_mean([heads[i].params for i in g], group_w[g]) for g in groups],
+                    [float(weights[g].sum()) for g in groups])
+            else:  # the oracle keeps its one head
+                merged = heads[0].params if protocol == "oracle" \
+                    else weighted_mean([f.params for f in heads], mix)
+            classifier = classifier.with_params(merged)
+
+            acc = evaluate_accuracy(extractor, classifier, target_eval)
+            records.append(RoundRecord(t, weights, partition, source_losses,
+                                       float(disagreement), acc, *traffic, *wall, lr))
+            if round_hook is not None:
+                round_hook({"round": t, "weights": weights, "similarities": sims,
+                            "partition": partition, "finetuned": finetuned,
+                            "classifier": classifier, "extractor": extractor})
+    metadata = {"protocol": "fact_idd (reimplementation)" if protocol == "fact_idd" else protocol}
+    if pooled:
+        metadata.update(weighting=cfg.weighting, use_igd=cfg.use_igd)
+    if sources:
+        metadata["n_sources"] = n
+    return RunResult(records, extractor, classifier, metadata)
+
+
+def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
+             target: DomainDataset, round_hook=None) -> RunResult:
+    """run_protocol for the group-weighted adaptation protocol and its
+    quadratic all-pairs variant (cfg.protocol ``gala`` or ``full_pairwise``)."""
+    if cfg.protocol not in ("gala", "full_pairwise"):
+        raise ConfigError("run_gala handles the gala and full_pairwise protocols")
+    return run_protocol(cfg, sources, target, round_hook)
 
 
 def similarity_matrix(domains: Sequence[DomainDataset], cfg: ProtocolConfig) -> np.ndarray:

@@ -21,7 +21,7 @@ from galasim import (
     igd_loss,
     random_partition,
 )
-from galasim.federation import _igd_pass
+from galasim.federation import _target_pass
 from galasim.nn import finite_difference_grad, relative_grad_error, softmax
 
 
@@ -383,22 +383,27 @@ def target_view(samples):
     return DomainDataset("target", samples, None, num_classes=3)
 
 
+def group_loss(gc1, gc2):
+    return lambda extractor, batch: igd_loss(extractor, gc1, gc2, batch)
+
+
 def stage_cfg(epochs, batch_size, momentum=0.9):
     return ProtocolConfig(local_epochs=epochs, batch_size=batch_size,
                           momentum=momentum, weight_decay=0.0)
 
 
 class TestAdversarialUpdate:
-    """The target stage's extractor update, federation._igd_pass."""
+    """The target stage's extractor update, federation._target_pass on the
+    group loss."""
 
     def test_identical_groups_fixed_point(self):
         rng = np.random.default_rng(15)
         ext = random_extractor(rng)
         members = [random_classifier(rng) for _ in range(2)]
         gc = GroupClassifier(list(enumerate(members)), np.array([0.5, 0.5]))
-        out, mean_loss = _igd_pass(stage_cfg(2, 4), ext, gc, gc,
-                                   target_view(rng.standard_normal((8, 4))), 0.01,
-                                   np.random.default_rng(0))
+        out, mean_loss = _target_pass(stage_cfg(2, 4), ext,
+                                      target_view(rng.standard_normal((8, 4))), 0.01,
+                                      np.random.default_rng(0), group_loss(gc, gc))
         assert np.array_equal(out.params.values, ext.params.values)
         assert mean_loss == 0.0  # every batch loss is 0: they are nonnegative
 
@@ -407,9 +412,8 @@ class TestAdversarialUpdate:
         ext = random_extractor(rng)
         gc1 = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
         gc2 = GroupClassifier([(1, random_classifier(rng))], np.array([1.0]))
-        out, _ = _igd_pass(stage_cfg(1, 8), ext, gc1, gc2,
-                           target_view(rng.standard_normal((8, 4))), 0.0,
-                           np.random.default_rng(0))
+        out, _ = _target_pass(stage_cfg(1, 8), ext, target_view(rng.standard_normal((8, 4))),
+                              0.0, np.random.default_rng(0), group_loss(gc1, gc2))
         assert np.array_equal(out.params.values, ext.params.values)
 
     def test_non_finite_loss_raises(self):
@@ -420,9 +424,8 @@ class TestAdversarialUpdate:
         gc2 = GroupClassifier([(1, random_classifier(rng))], np.array([1.0]))
         with pytest.raises(NumericError, match="group-discrepancy loss"), \
                 np.errstate(all="ignore"):
-            _igd_pass(stage_cfg(1, 8), ext, gc1, gc2,
-                      target_view(rng.standard_normal((8, 4))), 0.01,
-                      np.random.default_rng(0))
+            _target_pass(stage_cfg(1, 8), ext, target_view(rng.standard_normal((8, 4))),
+                         0.01, np.random.default_rng(0), group_loss(gc1, gc2))
 
     def test_full_batch_step_usually_decreases_loss(self):
         decreases = 0
@@ -438,8 +441,8 @@ class TestAdversarialUpdate:
             target = target_view(rng.standard_normal((16, 4)))
             x = target.samples
             before, _ = igd_loss(ext, gc1, gc2, x)
-            out, _ = _igd_pass(stage_cfg(1, 16, momentum=0.0), ext, gc1, gc2,
-                               target, 1e-3, np.random.default_rng(0))
+            out, _ = _target_pass(stage_cfg(1, 16, momentum=0.0), ext, target, 1e-3,
+                                  np.random.default_rng(0), group_loss(gc1, gc2))
             after, _ = igd_loss(out, gc1, gc2, x)
             if after < before:
                 decreases += 1

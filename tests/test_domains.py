@@ -126,13 +126,13 @@ class TestGlyphDomain:
 
     def test_self_performance(self):
         # a model trained on a glyph domain must exceed 90% on held-out data
-        from galasim import ProtocolConfig, run_oracle
+        from galasim import ProtocolConfig, run_protocol
 
         d = gen_glyph_domain(4, 100, 12, seed=1)
         cfg = ProtocolConfig(protocol="oracle", rounds=25, batch_size=64,
                              lr0=0.05, hidden_dims=(32,), feature_dim=16,
                              seed=0, weight_decay=0.0)
-        result = run_oracle(cfg, d)
+        result = run_protocol(cfg, [], d)
         assert result.final_accuracy > 0.9
 
 

@@ -438,13 +438,37 @@ class TestRunExperiment:
         assert sorted(p.name for p in summary.parent.iterdir()) == \
             ["cache", "runs", "summary.csv"]
 
+    def test_simmatrix_write_failing_midway_keeps_previous_matrix(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        config = str(write_config(tmp_path))
+        assert cli.main(["simmatrix", config]) == 0
+        matrix = tmp_path / "out" / "simmatrix.csv"
+        before = matrix.read_bytes()
+        real_writer = csv.writer
+
+        class FailingAfterHeader:
+            def __init__(self, fh, **kwargs):
+                self.inner, self.rows = real_writer(fh, **kwargs), 0
+
+            def writerow(self, row):
+                if self.rows == 1:
+                    raise OSError("disk full")
+                self.rows += 1
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailingAfterHeader)
+        assert cli.main(["simmatrix", config]) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert matrix.read_bytes() == before
+        assert sorted(p.name for p in matrix.parent.iterdir()) == ["cache", "simmatrix.csv"]
+
     def test_oracle_metrics_have_no_weight_columns(self, tmp_path):
-        from galasim import run_oracle
+        from galasim import run_protocol
 
         target = gen_gaussian_domain(3, 30, 4, seed=50)
         cfg = ProtocolConfig(protocol="oracle", rounds=2, batch_size=32,
                              lr0=0.05, hidden_dims=(16,), feature_dim=8, seed=1)
-        records = run_oracle(cfg, target).records
+        records = run_protocol(cfg, [], target).records
         path = tmp_path / "oracle.csv"
         emit_metrics(records, path)
         with open(path, newline="") as fh:

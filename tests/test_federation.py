@@ -25,11 +25,8 @@ from galasim import (
     WorkerError,
     account_communication,
     gen_gaussian_domain,
-    run_fact_idd,
     run_gala,
-    run_oracle,
     run_protocol,
-    run_source_only,
     similarity_matrix,
     weighted_mean,
 )
@@ -152,7 +149,7 @@ class TestRunGala:
         assert info.value.round_index == 0
         assert info.value.client == "server"
 
-    @pytest.mark.parametrize("run", [run_gala, run_source_only])
+    @pytest.mark.parametrize("run", [run_gala, run_protocol])
     @pytest.mark.parametrize("poisoned", [(2,), (1, 3)])
     def test_source_training_error_names_the_client(self, run, poisoned):
         # huge features with shuffled labels: the source cannot be fit, so
@@ -488,7 +485,7 @@ class TestRunFact:
     def test_two_sources_pair_is_deterministic(self):
         sources, target = small_suite(n_sources=2)
         cfg = small_cfg(protocol="fact_idd", rounds=2)
-        result = run_fact_idd(cfg, sources, target)
+        result = run_protocol(cfg, sources, target)
         for rec in result.records:
             np.testing.assert_array_equal(rec.weights, [0.5, 0.5])
         assert "reimplementation" in result.metadata["protocol"]
@@ -506,8 +503,8 @@ class TestRunFact:
     def test_bit_identical_reruns(self):
         sources, target = small_suite(n_sources=3)
         cfg = small_cfg(protocol="fact_idd", rounds=2)
-        a = run_fact_idd(cfg, sources, target)
-        b = run_fact_idd(cfg, sources, target)
+        a = run_protocol(cfg, sources, target)
+        b = run_protocol(cfg, sources, target)
         assert np.array_equal(a.classifier.params.values, b.classifier.params.values)
 
 
@@ -517,7 +514,7 @@ class TestBaselines:
         target = gen_gaussian_domain(4, 100, 8, seed=5, center_scale=6.0)
         cfg = small_cfg(protocol="oracle", rounds=40, batch_size=64,
                         hidden_dims=(32,), feature_dim=16, lr0=0.05)
-        result = run_oracle(cfg, target)
+        result = run_protocol(cfg, [], target)
         assert result.final_accuracy >= 0.99
 
     def test_source_only_matches_oracle_without_shift(self):
@@ -528,14 +525,14 @@ class TestBaselines:
                           hidden_dims=(32,), feature_dim=16)
         cfg_o = small_cfg(protocol="oracle", rounds=25, batch_size=64,
                           hidden_dims=(32,), feature_dim=16)
-        source_only = run_source_only(cfg_s, sources, target)
-        oracle = run_oracle(cfg_o, target)
+        source_only = run_protocol(cfg_s, sources, target)
+        oracle = run_protocol(cfg_o, [], target)
         assert abs(source_only.final_accuracy - oracle.final_accuracy) <= 0.02
 
     def test_oracle_requires_labels(self):
         target = gen_gaussian_domain(3, 24, 4, seed=7).strip_labels()
         with pytest.raises(DataError):
-            run_oracle(small_cfg(protocol="oracle"), target)
+            run_protocol(small_cfg(protocol="oracle"), [], target)
 
     def test_dispatch(self):
         sources, target = small_suite(n_sources=2)
@@ -543,6 +540,85 @@ class TestBaselines:
             cfg = small_cfg(protocol=protocol, rounds=1)
             result = run_protocol(cfg, sources, target)
             assert len(result.records) == 1
+
+
+HOOK_KEYS = {"round", "weights", "similarities", "partition", "finetuned",
+             "classifier", "extractor"}
+
+# attributes of galasim.federation that the benchmark's tracer and sweep
+# round timer wrap; the engine must reach them through the module
+WRAPPED = ("cross_entropy_grad", "sgd_step", "weighted_mean", "compute_centroids",
+           "similarity_score", "mdmgb_plus", "group_normalize", "igd_loss", "idd_loss",
+           "mixup", "evaluate_accuracy")
+
+
+class TestRoundEngine:
+    @pytest.mark.parametrize("protocol", federation.PROTOCOLS)
+    def test_round_hook_runs_once_per_round_after_evaluation(self, protocol):
+        sources, target = small_suite()
+        cfg = small_cfg(protocol=protocol, rounds=3)
+        events, seen = [], []
+        real = federation.evaluate_accuracy
+
+        def evaluate(*args):
+            events.append("evaluate")
+            return real(*args)
+
+        def hook(info):
+            events.append("hook")
+            seen.append(info)
+
+        with mock.patch.object(federation, "evaluate_accuracy", evaluate):
+            result = run_protocol(cfg, sources, target, round_hook=hook)
+        assert events == ["evaluate", "hook"] * 3
+        _, eval_split = target.split(1.0 - cfg.eval_fraction, seed=cfg.seed)
+        for t, (info, rec) in enumerate(zip(seen, result.records)):
+            assert set(info) == HOOK_KEYS and info["round"] == t
+            assert info["weights"].tobytes() == rec.weights.tobytes()
+            assert info["partition"] == rec.partition
+            assert (info["partition"] is None) == (protocol != "gala")
+            weighted = protocol in ("gala", "full_pairwise")
+            assert (info["similarities"] is None) == (not weighted)
+            assert (info["finetuned"] is None) == (not weighted)
+            if weighted:
+                assert len(info["similarities"]) == len(info["finetuned"]) == 4
+            # the hook sees the round's evaluated models
+            assert evaluate_accuracy(info["extractor"], info["classifier"],
+                                     eval_split) == rec.target_accuracy
+        assert seen[-1]["extractor"].params.values.tobytes() == \
+            result.extractor.params.values.tobytes()
+        assert seen[-1]["classifier"].params.values.tobytes() == \
+            result.classifier.params.values.tobytes()
+
+    @pytest.mark.parametrize("protocol", federation.PROTOCOLS)
+    def test_benchmark_wrapped_names_are_reached_through_the_module(self, protocol):
+        sources, target = small_suite()
+        cfg = small_cfg(protocol=protocol, rounds=3, mixup_alpha=0.4)
+        calls = dict.fromkeys(WRAPPED, 0)
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        with processes(1), mock.patch.multiple(
+                federation, **{name: counting(name, getattr(federation, name))
+                               for name in WRAPPED}):
+            run_protocol(cfg, sources, target)
+        assert calls["evaluate_accuracy"] == cfg.rounds  # the sweep's round timer
+        reached = {name for name, count in calls.items() if count}
+        expected = {"cross_entropy_grad", "sgd_step", "mixup", "evaluate_accuracy"}
+        if protocol != "oracle":
+            expected.add("weighted_mean")
+        if protocol in ("gala", "full_pairwise"):
+            expected |= {"compute_centroids", "similarity_score", "mdmgb_plus"}
+        if protocol == "gala":
+            expected.add("group_normalize")
+        stage_loss = {"gala": "igd_loss", "fact_idd": "igd_loss", "full_pairwise": "idd_loss"}
+        if protocol in stage_loss:  # the target stage's batch loss
+            expected.add(stage_loss[protocol])
+        assert reached == expected
 
 
 class TestCommunicationAccounting:
