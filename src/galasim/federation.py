@@ -19,8 +19,8 @@ likewise a deterministic work model (multiply-accumulate counts at a nominal
 rate), so reruns of a config are bit-identical; evaluation passes are
 instrumentation and are not charged.
 
-The per-source work of a gala or full_pairwise round (centroid pass, local
-training and frozen fine-tune) runs on several processes when that can help: the sources
+Gala's and full_pairwise's per-source work (centroid pass, local training and
+frozen fine-tune) runs on several processes when that can help: the sources
 split into contiguous blocks, the caller's process serves the first, and one
 forked worker per further block serves the rest; for the run, each process is
 pinned to its own share of the usable CPUs (the caller's affinity is restored
@@ -729,7 +729,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
             if protocol == "full_pairwise":
                 stage_loss = partial(_pairwise_loss, heads)
             elif protocol == "fact_idd" or (protocol == "gala" and cfg.use_igd):
-                stage_loss = lambda g, batch: igd_loss(g, gc1, gc2, batch)  # noqa: E731
+                stage_loss = lambda g, batch: igd_loss(g, gc1, gc2, batch)
             extractor, disagreement = aggregated, 0.0
             try:
                 if stage_loss is not None:
