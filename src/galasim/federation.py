@@ -288,7 +288,7 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
 
 
 # ---------------------------------------------------------------------------
-# per-source work of a gala round, in this process or in forked workers
+# per-client work of a round; gala's and full_pairwise's also in forked workers
 
 
 def _source_processes() -> int:
