@@ -6,7 +6,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric abort or a worker
 process lost mid-round (or, for `run`, any failed run of the sweep: a run
-whose source worker dies fails like a numeric abort), 4 I/O error.
+whose source worker or sweep pool worker dies fails like a numeric abort),
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="override the base seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
-    p_run.add_argument("--parallel", type=int, default=1, help="concurrent runs")
+    p_run.add_argument("--parallel", type=int, default=1, help="concurrent runs, at least 1")
     p_run.set_defaults(func=_cmd_run)
 
     p_sim = sub.add_parser("simmatrix", help="cross-domain accuracy matrix for a suite")

@@ -17,6 +17,7 @@ import logging
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,7 +33,7 @@ from .domains import (
     load_dataset,
     save_dataset,
 )
-from .errors import ConfigError, GalaError, IntegrityError, ParseError
+from .errors import ConfigError, GalaError, IntegrityError, ParseError, WorkerError
 from .federation import ProtocolConfig, RoundRecord, run_protocol
 
 log = logging.getLogger(__name__)
@@ -311,10 +312,12 @@ def build_domains(spec: ExperimentSpec, cache_dir: Optional[Path] = None
         if cached is not None and cached.exists():
             try:
                 out[entry.name] = load_dataset(cached)
+                log.info("domain %r: cache hit", entry.name)
                 continue
             except IntegrityError as exc:
                 log.warning("rebuilding domain %r: corrupt cache file: %s", entry.name, exc)
         dataset = entry.build()
+        log.info("domain %r: built", entry.name)
         if cached is not None:
             cache_dir.mkdir(parents=True, exist_ok=True)
             _atomic_write(cached, lambda tmp: save_dataset(dataset, tmp))
@@ -375,9 +378,21 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     CSV and is counted in its configuration's num_failed in summary.csv; the
     other runs and the summary are still written.
 
+    With `parallel` > 1 the pending runs go to a pool of min(parallel,
+    pending) worker processes. Each worker is started with the runner and
+    the whole job list, and is then sent job indices only: under `fork` the
+    workers inherit the domains, so none is pickled; under `spawn` or
+    `forkserver` the suite is pickled once per worker. A worker that dies
+    breaks the pool: every run not collected by then whose CSV does not exist
+    fails with a `WorkerError`, the summary is still written and the call
+    returns 3. `parallel` < 1 raises `ConfigError`.
+
     Completed runs are skipped by content hash, so interrupted suites resume;
     rerunning an identical spec is a no-op that leaves bytes unchanged.
+    Progress goes to the `galasim.experiment` logger at INFO.
     """
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
     spec.validate()
     out_dir = Path(spec.output_dir)
     runs_dir = out_dir / "runs"
@@ -402,19 +417,20 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
             run_index.append((label, k, path))
             if not path.exists():
                 jobs.append((cfg, sources, target, str(path)))
+    log.info("%s: %d runs, %d already done", spec.name, len(run_index),
+             len(run_index) - len(jobs))
 
     failures = []
     try:
         if parallel > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
-                for path, error in pool.map(_execute_run_star, jobs):
-                    if error:
-                        failures.append((path, error))
+            results = _pool_results(jobs, min(parallel, len(jobs)))
         else:
-            for job in jobs:
-                path, error = _execute_run(*job)
-                if error:
-                    failures.append((path, error))
+            results = (_execute_run(*job) for job in jobs)
+        for k, (path, error) in enumerate(results, 1):
+            log.info("run %d/%d %s: %s", k, len(jobs), "aborted" if error else "done",
+                     Path(path).name)
+            if error:
+                failures.append((path, error))
         _write_summary(out_dir / "summary.csv", run_index)
     except OSError as exc:
         print(f"I/O error: {exc}")
@@ -426,6 +442,40 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
 
 def _execute_run_star(job):
     return _execute_run(*job)
+
+
+_worker_state = None  # (runner, jobs) in a sweep pool worker; see _init_worker
+
+
+def _init_worker(runner, jobs) -> None:
+    """Pool initializer: the worker keeps the runner and the job list for its
+    life, so a job is sent as its index."""
+    global _worker_state
+    _worker_state = (runner, jobs)
+
+
+def _run_job(k: int):
+    runner, jobs = _worker_state
+    return runner(jobs[k])
+
+
+def _pool_results(jobs: list, workers: int):
+    """Yield each job's (path, error) in job order from a pool of `workers`
+    processes started with `_execute_run_star` as the parent reads it now. If
+    a worker dies, every job not yet yielded is yielded as a WorkerError,
+    unless its CSV was written before the pool broke."""
+    done = 0
+    try:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(_execute_run_star, jobs)) as pool:
+            for result in pool.map(_run_job, range(len(jobs))):
+                done += 1
+                yield result
+    except BrokenProcessPool as exc:
+        lost = WorkerError(f"sweep worker process lost: {exc}")
+        error = f"{type(lost).__name__}: {lost}"
+        for *_, path in jobs[done:]:
+            yield path, None if Path(path).exists() else error
 
 
 def _final_accuracy_from_csv(path: Path) -> float:

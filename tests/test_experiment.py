@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import functools
 import logging
+import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from galasim import (
     ConfigError,
     DataError,
+    DomainDataset,
     ParseError,
     ProtocolConfig,
     RoundRecord,
@@ -280,6 +283,29 @@ class TestCsvFloats:
         assert row[header.index("igd_loss")] == "-0.0"
 
 
+def _dying_star(job):
+    """Stands in for experiment._execute_run_star: the pool worker running
+    the tau=2.0, seed 3 job exits without a word."""
+    cfg = job[0]
+    if cfg.tau == 2.0 and cfg.seed == 3:
+        os._exit(1)
+    return experiment._execute_run(*job)
+
+
+def _marking_star(job):
+    """Stands in for experiment._execute_run_star: leaves one marker file per
+    job it runs."""
+    path = Path(job[3])
+    markers = path.parent.parent / "markers"
+    markers.mkdir(exist_ok=True)
+    (markers / path.name).touch()
+    return experiment._execute_run(*job)
+
+
+def run_csvs(out):
+    return {p.name: p.read_bytes() for p in (Path(out) / "runs").glob("*.csv")}
+
+
 class TestRunExperiment:
     def test_runs_and_summary(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
@@ -365,10 +391,11 @@ class TestRunExperiment:
                                                           ("tau=3000.0", "0", "1")]
         assert rows[2][2:4] == ["", ""]  # no mean or std without a finished run
 
+    @pytest.mark.parametrize("parallel", [1, 2])
     @pytest.mark.parametrize("error", [DataError("bad domain"), ConfigError("bad config"),
                                        ValueError("bad value")])
     def test_failing_run_is_recorded_and_the_sweep_finishes(self, tmp_path, monkeypatch,
-                                                           capsys, error):
+                                                           capsys, error, parallel):
         real = experiment.run_protocol
 
         def run_protocol(cfg, sources, target):
@@ -378,7 +405,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "run_protocol", run_protocol)
         spec = parse_config(write_config(tmp_path))
-        assert run_experiment(spec) == 3
+        assert run_experiment(spec, parallel=parallel) == 3
         runs = sorted(p.name for p in (tmp_path / "out" / "runs").iterdir())
         assert len(runs) == 3
         assert not any("__tau=2.0__s0__" in name for name in runs)
@@ -413,6 +440,118 @@ class TestRunExperiment:
         monkeypatch.setattr(cli, "run_experiment", lost)
         assert cli.main(["run", str(write_config(tmp_path))]) == 3
         assert "worker lost" in capsys.readouterr().err
+
+    def test_dead_pool_worker_fails_its_runs_and_the_summary_is_written(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "_execute_run_star", _dying_star)
+        spec = parse_config(write_config(tmp_path))
+        assert run_experiment(spec, parallel=2) == 3
+        out = capsys.readouterr().out
+        runs = tmp_path / "out" / "runs"
+        done = sorted(p.name for p in runs.glob("*.csv"))
+        assert not any("__tau=2.0__s0__" in name for name in done)
+        lost = [line for line in out.splitlines() if "aborted: WorkerError: " in line]
+        assert 1 <= len(lost) == 4 - len(done)
+        assert not any(name in line for name in done for line in lost)
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            rows = {r[0]: (int(r[1]), int(r[4])) for r in list(csv.reader(fh))[1:]}
+        assert sorted(rows) == ["tau=0.5", "tau=2.0"]
+        assert all(ok + failed == 2 for ok, failed in rows.values())
+        assert sum(failed for _, failed in rows.values()) == len(lost)
+
+    def test_cli_exits_3_without_a_traceback_when_a_pool_worker_dies(
+            self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setattr(experiment, "_execute_run_star", _dying_star)
+        assert cli.main(["run", str(write_config(tmp_path)), "--parallel", "2"]) == 3
+        out, err = capfd.readouterr()
+        assert "aborted: WorkerError: " in out
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("parallel", [0, -1])
+    def test_parallel_below_1_is_a_config_error(self, tmp_path, capsys, parallel):
+        spec = parse_config(write_config(tmp_path))
+        with pytest.raises(ConfigError, match="parallel must be >= 1"):
+            run_experiment(spec, parallel=parallel)
+        assert not (tmp_path / "out").exists()
+        config = str(write_config(tmp_path))
+        assert cli.main(["run", config, "--parallel", str(parallel)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_pool_has_no_more_workers_than_pending_runs(self, tmp_path, monkeypatch):
+        spec = parse_config(write_config(tmp_path))
+        assert run_experiment(spec) == 0
+        before = run_csvs(tmp_path / "out")
+        for name in sorted(before)[:2]:
+            (tmp_path / "out" / "runs" / name).unlink()
+        sizes = []
+        real = experiment.ProcessPoolExecutor
+
+        def recording(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording)
+        assert run_experiment(spec, parallel=8) == 0
+        assert sizes == [2]
+        assert run_csvs(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_pickles_the_suite_at_most_once_per_worker(self, tmp_path, monkeypatch,
+                                                             start_method):
+        pickled = []
+
+        def reduce_ex(self, protocol):
+            pickled.append(self.name)
+            return object.__reduce_ex__(self, protocol)
+
+        monkeypatch.setattr(DomainDataset, "__reduce_ex__", reduce_ex)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", functools.partial(
+            experiment.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context(start_method)))
+        spec = parse_config(write_config(tmp_path))
+        assert run_experiment(spec, parallel=2) == 0  # 4 jobs on 2 workers
+        assert len(run_csvs(tmp_path / "out")) == 4
+        assert len(pickled) <= 2 * len(spec.domains)
+        if start_method == "fork":
+            assert pickled == []  # the workers inherit the domains
+
+    def test_runner_patched_before_the_call_runs_every_pool_job(self, tmp_path,
+                                                                 monkeypatch):
+        # the benchmark swaps in its own runner this way (bench/NOTES.md, Couplings)
+        monkeypatch.setattr(experiment, "_execute_run_star", _marking_star)
+        spec = parse_config(write_config(tmp_path))
+        assert run_experiment(spec, parallel=2) == 0
+        markers = sorted(p.name for p in (tmp_path / "out" / "markers").iterdir())
+        assert len(markers) == 4
+        assert markers == sorted(run_csvs(tmp_path / "out"))
+
+    def test_progress_is_logged_at_info_and_leaves_outputs_unchanged(self, tmp_path,
+                                                                      caplog, capsys):
+        quiet = parse_config(write_config(tmp_path))
+        quiet.output_dir = str(tmp_path / "quiet")
+        assert run_experiment(quiet, parallel=2) == 0
+        assert capsys.readouterr() == ("", "")  # no handler, no print
+
+        spec = parse_config(write_config(tmp_path))
+        with caplog.at_level(logging.INFO, logger="galasim.experiment"):
+            assert run_experiment(spec, parallel=2) == 0
+        lines = [r.getMessage() for r in caplog.records]
+        names = sorted(run_csvs(tmp_path / "out"))
+        assert lines[:3] == [f"domain {n!r}: built" for n in ("t0", "s0", "s1")]
+        assert lines[3] == "demo: 4 runs, 0 already done"
+        assert [line.split(": ")[0] for line in lines[4:]] == \
+            [f"run {k}/4 done" for k in range(1, 5)]
+        assert sorted(line.split(": ")[1] for line in lines[4:]) == names
+        assert run_csvs(tmp_path / "out") == run_csvs(tmp_path / "quiet")
+        assert (tmp_path / "out" / "summary.csv").read_bytes() == \
+            (tmp_path / "quiet" / "summary.csv").read_bytes()
+
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="galasim.experiment"):
+            assert run_experiment(spec, parallel=2) == 0
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"domain {n!r}: cache hit" for n in ("t0", "s0", "s1")] + \
+            ["demo: 4 runs, 4 already done"]
 
     def test_summary_write_failing_midway_keeps_previous_summary(self, tmp_path,
                                                                   monkeypatch):
