@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Classifier, FeatureExtractor, ParamVec, softmax
+from .nn import Classifier, FeatureExtractor, ParamStack, ParamVec, softmax
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,6 @@ class GroupPartition:
             raise ValueError("group sizes must be floor(N/2) and ceil(N/2)")
         if n >= 2 and (not self.g1 or not self.g2):
             raise ValueError("both groups must be nonempty for N >= 2")
-
-    @property
-    def n_sources(self) -> int:
-        return len(self.g1) + len(self.g2)
-
-    def group_of(self, index: int) -> int:
-        return 1 if index in self.g1 else 2
 
     def bitmask_g1(self) -> int:
         return sum(1 << i for i in self.g1)
@@ -85,8 +78,8 @@ def enumerate_partitions(n_sources: int) -> list[GroupPartition]:
 class GroupClassifier:
     """Convex combination, in probability space, of member classifiers.
 
-    The members' weights and biases are read once, at construction, into one
-    (m, C, d) and one (m, C) stack: a member's params mutated afterwards are
+    The members' parameters are read once, at construction, into one
+    Classifier over a ParamStack: a member's params mutated afterwards are
     not seen. Each member's slice of the stacked math is computed as its own
     Classifier computes it, and sums over members run in member order from
     +0.0, so the results are those of a loop over the members, bit for bit.
@@ -108,9 +101,7 @@ class GroupClassifier:
         for _, clf in self.members:
             if clf.input_dim != d0 or clf.num_classes != c0:
                 raise ConfigError("group members must share feature dim and class count")
-        blocks = [clf.params.unpack() for _, clf in self.members]
-        self._w = np.stack([b["w"] for b in blocks])  # (m, C, d)
-        self._b = np.stack([b["b"] for b in blocks])  # (m, C)
+        self._heads = Classifier(d0, c0, ParamStack.of([clf.params for _, clf in self.members]))
 
     @property
     def num_classes(self) -> int:
@@ -128,16 +119,15 @@ class GroupClassifier:
 
     def _member_probs(self, z: np.ndarray) -> np.ndarray:
         """(m, batch, C): every member's softmax on the features z."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        if z.shape[-1] != self.input_dim:
-            raise ConfigError(
-                f"feature dim {z.shape[-1]} does not match classifier input_dim {self.input_dim}"
-            )
-        return softmax(z @ self._w.swapaxes(-1, -2) + self._b[:, None, :])
+        return softmax(self._heads.logits(z))
 
     def _member_sum(self, per_member: np.ndarray) -> np.ndarray:
-        # axis 0 is the outermost loop of the reduction: +0.0, then member by member
-        return np.add.reduce(per_member, axis=0, initial=0.0)
+        # +0.0, then member by member. np.add.reduce over axis 0 is not this
+        # order: with one element per member it sums 8 or more pairwise.
+        total = np.zeros(per_member.shape[1:])
+        for term in per_member:
+            total += term
+        return total
 
     def _average(self, member_probs: np.ndarray) -> np.ndarray:
         return self._member_sum(self.weights[:, None, None] * member_probs)
@@ -149,7 +139,7 @@ class GroupClassifier:
         dq = self.weights[:, None, None] * dprobs
         # softmax Jacobian-transpose: q * (dq - <dq, q>)
         du = member_probs * (dq - (dq * member_probs).sum(axis=-1, keepdims=True))
-        return self._member_sum(du @ self._w)
+        return self._member_sum(du @ self._heads.params.unpack()["w"])
 
 
 def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassifier,

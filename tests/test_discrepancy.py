@@ -3,7 +3,7 @@ small-instance enumeration oracle and finite-difference gradient checks."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galasim import (
@@ -177,9 +177,22 @@ def stacked_case(draw):
     return ext, groups[0], groups[1], x
 
 
+def eight_heads_one_feature():
+    """Batch 1, feature dim 1 and a group of 8: each member's share of the
+    feature gradient is one element, where np.add.reduce over the members
+    sums pairwise instead of in member order."""
+    rng = np.random.default_rng(4)
+    ext = random_extractor(rng, d=1)
+    heads = [random_classifier(rng, d=1, num_classes=2) for _ in range(9)]
+    gc1 = GroupClassifier(list(enumerate(heads[:8])), np.full(8, 1 / 8))
+    gc2 = GroupClassifier([(0, heads[8])], np.array([1.0]))
+    return ext, gc1, gc2, rng.standard_normal((1, 4))
+
+
 class TestStackedHeads:
     @settings(max_examples=60, deadline=None)
     @given(case=stacked_case())
+    @example(case=eight_heads_one_feature())
     def test_predict_and_igd_loss_equal_member_loop(self, case):
         ext, gc1, gc2, x = case
         z = ext.forward(x)
