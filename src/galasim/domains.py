@@ -20,15 +20,6 @@ import numpy as np
 from .errors import DataError, IntegrityError, ParseError, UnsupportedVersionError
 from .nn import Scratch
 
-TRANSFORM_KINDS = (
-    "background_overlay",
-    "scale_recenter",
-    "channel_stack",
-    "rotate",
-    "mean_shift",
-    "label_noise",
-)
-
 
 @dataclass
 class TransformSpec:
@@ -220,10 +211,8 @@ def gen_glyph_domain(num_classes: int, samples_per_class: int, canvas: int,
     layout, so up to 127 classes stay pairwise distinct. Per-sample jitter:
     one-pixel translation, stroke intensity in [0.75, 1], additive pixel noise.
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
     if not 2 <= num_classes <= 2 ** _SEGMENT_COUNT - 1:
-        raise ValueError("num_classes out of renderable range")
+        raise ValueError(f"num_classes must be in [2, {2 ** _SEGMENT_COUNT - 1}]")
     if channels not in (1, 3):
         raise ValueError("channels must be 1 or 3")
     masks = _segment_masks(canvas)  # raises for canvas < 8
@@ -399,19 +388,20 @@ def apply_label_noise(d: DomainDataset, fraction: float, seed: int = 0) -> Domai
     return d._replace(d.samples, labels, f"label_noise(fraction={fraction},seed={seed})")
 
 
-_TRANSFORM_DISPATCH = {
-    "background_overlay": lambda d, p, seed: apply_background_overlay(
-        d, p["noise_amplitude"], seed),
-    "scale_recenter": lambda d, p, seed: apply_scale_recenter(d, int(p["inner"]), seed),
-    "channel_stack": lambda d, p, seed: apply_channel_stack(d, int(p["shift_px"]), seed),
-    "rotate": lambda d, p, seed: apply_rotate(d, float(p["angle"]), seed),
-    "mean_shift": lambda d, p, seed: apply_mean_shift(d, float(p["magnitude"]), seed),
-    "label_noise": lambda d, p, seed: apply_label_noise(d, float(p["fraction"]), seed),
+# a TransformSpec's params are its function's arguments but the dataset and seed
+TRANSFORMS = {
+    "background_overlay": apply_background_overlay,
+    "scale_recenter": apply_scale_recenter,
+    "channel_stack": apply_channel_stack,
+    "rotate": apply_rotate,
+    "mean_shift": apply_mean_shift,
+    "label_noise": apply_label_noise,
 }
+TRANSFORM_KINDS = tuple(TRANSFORMS)
 
 
 def apply_transform(d: DomainDataset, spec: TransformSpec) -> DomainDataset:
-    return _TRANSFORM_DISPATCH[spec.kind](d, spec.params, spec.seed)
+    return TRANSFORMS[spec.kind](d, **spec.params, seed=spec.seed)
 
 
 def apply_transform_chain(d: DomainDataset,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import inspect
 import itertools
 import logging
 import os
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domains import (
+    TRANSFORMS,
     DomainDataset,
     TransformSpec,
     apply_transform_chain,
@@ -33,15 +35,12 @@ from .domains import (
     load_dataset,
     save_dataset,
 )
-from .errors import ConfigError, GalaError, IntegrityError, ParseError, WorkerError
+from .errors import ConfigError, DataError, GalaError, IntegrityError, ParseError, WorkerError
 from .federation import ProtocolConfig, RoundRecord, run_protocol
 
 log = logging.getLogger(__name__)
 
 _EXPERIMENT_KEYS = {"name", "target", "output_dir", "num_seeds"}
-_GAUSSIAN_KEYS = {"generator", "num_classes", "samples_per_class", "input_dim",
-                  "center_scale", "seed", "transforms"}
-_GLYPH_KEYS = {"generator", "num_classes", "samples_per_class", "canvas", "channels", "seed", "transforms"}
 _PROTOCOL_FIELDS = {f.name: f for f in fields(ProtocolConfig)}
 # Version of the generators and the GDSD format behind cached domains. It is
 # part of the cache digest: bump it when a change alters the bytes a domain
@@ -51,7 +50,7 @@ _DOMAIN_CACHE_VERSION = 1
 
 @dataclass
 class DomainEntry:
-    """One generator invocation plus its transform chain."""
+    """One generator invocation plus its transform chain; `params` are its arguments."""
 
     name: str
     generator: str
@@ -64,26 +63,21 @@ class DomainEntry:
         return f"{self.generator}({items})|{chain}"
 
     def build(self) -> DomainDataset:
-        params = dict(self.params)
-        if self.generator == "gaussian":
-            base = gen_gaussian_domain(
-                num_classes=int(params["num_classes"]),
-                samples_per_class=int(params["samples_per_class"]),
-                input_dim=int(params["input_dim"]),
-                seed=int(params.get("seed", 0)),
-                name=self.name,
-                center_scale=float(params.get("center_scale", 3.0)))
-        elif self.generator == "glyph":
-            base = gen_glyph_domain(
-                num_classes=int(params["num_classes"]),
-                samples_per_class=int(params["samples_per_class"]),
-                canvas=int(params["canvas"]),
-                channels=int(params.get("channels", 1)),
-                seed=int(params.get("seed", 0)),
-                name=self.name)
-        else:
-            raise ConfigError(f"domain {self.name!r}: unknown generator {self.generator!r}")
-        return apply_transform_chain(base, self.transforms)
+        """A value the generator or a transform rejects is a ConfigError."""
+        generate = _generator(self.generator, f"domain {self.name!r}")
+        try:
+            return apply_transform_chain(generate(name=self.name, **self.params),
+                                         self.transforms)
+        except (ValueError, TypeError, DataError) as exc:
+            raise ConfigError(f"domain {self.name!r}: {exc}") from exc
+
+
+def _generator(kind: str, where: str):
+    """The generator function `kind` names, looked up by module name on each call."""
+    generators = {"gaussian": gen_gaussian_domain, "glyph": gen_glyph_domain}
+    if kind not in generators:
+        raise ConfigError(f"{where}: generator must be one of {sorted(generators)}, got {kind!r}")
+    return generators[kind]
 
 
 @dataclass
@@ -136,6 +130,22 @@ def _parse_scalar(text: str):
         return text
 
 
+def _check_args(fn, args: dict, where: str) -> None:
+    """Check a config's `args` for fn against its signature: they are its int
+    and float parameters, the required ones given, each of its type (an int
+    passes for a float). Value ranges are left to fn."""
+    params = inspect.signature(fn).parameters  # annotations are strings in domains.py
+    keys = {k for k, p in params.items() if p.annotation in ("int", "float")}
+    required = {k for k in keys if params[k].default is params[k].empty}
+    for problem, names in (("unknown", set(args) - keys), ("missing", required - set(args))):
+        if names:
+            raise ConfigError(f"{where}: {problem} key(s) {sorted(names)}")
+    for key, value in args.items():
+        hint = params[key].annotation
+        if type(value) not in ((int,) if hint == "int" else (int, float)):
+            raise ConfigError(f"{where}: {key} must be of type {hint}, got {value!r}")
+
+
 def _parse_transforms(text: str, where: str) -> tuple[TransformSpec, ...]:
     chain = []
     for piece in filter(None, (p.strip() for p in text.split(";"))):
@@ -144,17 +154,18 @@ def _parse_transforms(text: str, where: str) -> tuple[TransformSpec, ...]:
             raise ConfigError(f"{where}: cannot parse transform {piece!r}; "
                               f"expected kind(key=value, ...)")
         kind, argtext = m.group(1), m.group(2)
+        if kind not in TRANSFORMS:
+            raise ConfigError(f"{where}: unknown transform kind {kind!r}")
         params = {}
         for arg in filter(None, (a.strip() for a in argtext.split(","))):
-            if "=" not in arg:
-                raise ConfigError(f"{where}: transform argument {arg!r} needs key=value")
-            key, value = (s.strip() for s in arg.split("=", 1))
+            key, eq, value = (s.strip() for s in arg.partition("="))
+            if not eq or key in params:
+                raise ConfigError(f"{where}: transform argument {arg!r} needs key=value, "
+                                  f"each key once")
             params[key] = _parse_scalar(value)
-        seed = int(params.pop("seed", 0))
-        try:
-            chain.append(TransformSpec(kind, params, seed))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        _check_args(TRANSFORMS[kind], params, f"{where}: {kind}")
+        seed = params.pop("seed", 0)
+        chain.append(TransformSpec(kind, params, seed))
     return tuple(chain)
 
 
@@ -179,7 +190,7 @@ def _coerce_protocol_value(name: str, raw: str):
 
 
 def parse_config(path) -> ExperimentSpec:
-    """Parse an experiment config file; unknown keys are hard errors."""
+    """Parse an experiment config file; unknown keys are hard errors (domains: _check_args)."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     path = Path(path)
@@ -229,16 +240,12 @@ def parse_config(path) -> ExperimentSpec:
         name = section[len("domain "):].strip()
         if not name:
             raise ConfigError(f"{path}: domain section needs a name: [domain <name>]")
+        where = f"{path}: [{section}]"
         items = dict(parser.items(section))
-        generator = items.get("generator")
-        if generator is None:
-            raise ConfigError(f"{path}: [{section}] needs key 'generator'")
-        allowed = _GAUSSIAN_KEYS if generator == "gaussian" else _GLYPH_KEYS
-        unknown = set(items) - allowed
-        if unknown:
-            raise ConfigError(f"{path}: unknown key(s) in [{section}]: {sorted(unknown)}")
-        transforms = _parse_transforms(items.pop("transforms", ""), f"[{section}]")
-        params = {k: _parse_scalar(v) for k, v in items.items() if k != "generator"}
+        generator = items.pop("generator", None)
+        transforms = _parse_transforms(items.pop("transforms", ""), where)
+        params = {k: _parse_scalar(v) for k, v in items.items()}
+        _check_args(_generator(generator, where), params, where)
         domains.append(DomainEntry(name, generator, params, transforms))
 
     spec = ExperimentSpec(
@@ -338,6 +345,18 @@ def _atomic_write(path: Path, write) -> None:
             os.unlink(tmp)
 
 
+def _remove_stale_temp_files(out_dir: Path) -> None:
+    """Delete the temp files of `_atomic_write` calls whose process died mid-write."""
+    for pattern in ("runs/*.tmp", "cache/*.tmp", "summary.csv.*.tmp"):
+        for tmp in out_dir.glob(pattern):
+            try:
+                os.kill(int(tmp.name.rsplit(".", 2)[-2]), 0)  # signal 0: is it running?
+            except ProcessLookupError:
+                tmp.unlink(missing_ok=True)  # another run may have removed it
+            except (ValueError, PermissionError):
+                pass  # not a pid, or another user's running process
+
+
 def _sweep_grid(spec: ExperimentSpec) -> list[dict]:
     if not spec.sweep:
         return [{}]
@@ -385,10 +404,12 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     `forkserver` the suite is pickled once per worker. A worker that dies
     breaks the pool: every run not collected by then whose CSV does not exist
     fails with a `WorkerError`, the summary is still written and the call
-    returns 3. `parallel` < 1 raises `ConfigError`.
+    returns 3. `parallel` < 1, or a domain value its generator or a transform
+    rejects, raises `ConfigError`.
 
-    Completed runs are skipped by content hash, so interrupted suites resume;
-    rerunning an identical spec is a no-op that leaves bytes unchanged.
+    Completed runs are skipped by content hash, so interrupted suites resume
+    (temp files of writers killed mid-write are removed first); rerunning an
+    identical spec is a no-op that leaves bytes unchanged.
     Progress goes to the `galasim.experiment` logger at INFO.
     """
     if parallel < 1:
@@ -398,6 +419,7 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     runs_dir = out_dir / "runs"
     try:
         runs_dir.mkdir(parents=True, exist_ok=True)
+        _remove_stale_temp_files(out_dir)
         domains = build_domains(spec, cache_dir=out_dir / "cache")
     except OSError as exc:
         print(f"I/O error: {exc}")

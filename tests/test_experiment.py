@@ -6,6 +6,8 @@ import functools
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -93,6 +95,26 @@ def write_config(tmp_path, text=None):
     return path
 
 
+GAUSSIAN_SRC = ("generator = gaussian\nnum_classes = 3\nsamples_per_class = 24\n"
+                "input_dim = 4\n")
+GLYPH_SRC = "generator = glyph\nnum_classes = 3\nsamples_per_class = 10\ncanvas = 16\n"
+
+# source sections that the generator or a transform rejects
+BAD_SECTIONS = {
+    "missing_key": GAUSSIAN_SRC.replace("num_classes = 3\n", ""),
+    "too_few_samples": GAUSSIAN_SRC.replace("samples_per_class = 24", "samples_per_class = 4"),
+    "missing_transform_argument": GAUSSIAN_SRC + "transforms = rotate(seed=1)\n",
+    "raster_transform_on_vectors": GAUSSIAN_SRC + "transforms = scale_recenter(inner=4)\n",
+    "amplitude_out_of_range": GLYPH_SRC + "transforms = background_overlay(noise_amplitude=2)\n",
+    "unknown_transform_argument": GAUSSIAN_SRC + "transforms = rotate(angle=0.1, magnitude=2)\n",
+}
+
+
+def with_section(tmp_path, section):
+    """The CONFIG suite plus one source section named broken_src."""
+    return write_config(tmp_path, CONFIG + "\n[domain broken_src]\n" + section)
+
+
 class TestParseConfig:
     def test_full_parse(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
@@ -145,6 +167,38 @@ class TestParseConfig:
         grid = _sweep_grid(spec)
         assert len(grid) == 2
         assert len(grid) * spec.num_seeds == 4
+
+    @pytest.mark.parametrize("section, message", [
+        (BAD_SECTIONS["missing_key"], "missing key(s) ['num_classes']"),
+        (GAUSSIAN_SRC + "canvas = 16\n", "unknown key(s) ['canvas']"),
+        (GAUSSIAN_SRC + "name = other\n", "unknown key(s) ['name']"),
+        (GAUSSIAN_SRC + "shift = 1\n", "unknown key(s) ['shift']"),
+        (BAD_SECTIONS["missing_transform_argument"], "rotate: missing key(s) ['angle']"),
+        (BAD_SECTIONS["unknown_transform_argument"], "rotate: unknown key(s) ['magnitude']"),
+        (GAUSSIAN_SRC + "transforms = rotate(angle=0.1, d=2)\n", "rotate: unknown key(s) ['d']"),
+        (GAUSSIAN_SRC + "transforms = rotate(angle=0.1, angle=0.2)\n", "each key once"),
+        (GAUSSIAN_SRC + "center_scale = far\n", "center_scale must be of type float"),
+        (GAUSSIAN_SRC + "transforms = rotate(angle=true)\n", "angle must be of type float"),
+        ("generator = spiral\n", "generator must be one of ['gaussian', 'glyph'], got 'spiral'"),
+        (GAUSSIAN_SRC.replace("generator = gaussian\n", ""), "got None"),
+    ], ids=["missing_key", "unknown_key", "name_key", "shift_key", "missing_argument",
+            "unknown_argument", "dataset_argument", "repeated_argument", "text_for_float",
+            "bool_for_float", "unknown_generator", "no_generator"])
+    def test_domain_keys_and_transform_arguments_follow_the_signatures(
+            self, tmp_path, section, message):
+        path = with_section(tmp_path, section)
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value).startswith(f"{path}: [domain broken_src]: ")
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("section", [
+        GLYPH_SRC.replace("canvas = 16", "canvas = 16.0"),
+        GLYPH_SRC + "transforms = scale_recenter(inner=12.0)\n",
+    ], ids=["generator", "transform"])
+    def test_integer_parameter_given_as_float_is_a_config_error(self, tmp_path, section):
+        with pytest.raises(ConfigError, match="must be of type int, got 1[26].0"):
+            parse_config(with_section(tmp_path, section))
 
     def test_five_by_five_sweep_schedules_25_runs(self, tmp_path):
         text = CONFIG.replace("tau = 0.5, 2.0",
@@ -307,6 +361,36 @@ def run_csvs(out):
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("section", BAD_SECTIONS.values(), ids=list(BAD_SECTIONS))
+    def test_bad_domain_section_exits_2_naming_the_domain(self, tmp_path, capfd, section):
+        assert cli.main(["run", str(with_section(tmp_path, section))]) == 2
+        err = capfd.readouterr().err
+        assert "configuration error" in err and "broken_src" in err
+        assert "Traceback" not in err
+
+    def test_simmatrix_of_a_bad_domain_section_exits_2(self, tmp_path, capfd):
+        path = with_section(tmp_path, BAD_SECTIONS["amplitude_out_of_range"])
+        assert cli.main(["simmatrix", str(path)]) == 2
+        err = capfd.readouterr().err
+        assert "configuration error" in err and "broken_src" in err
+        assert "Traceback" not in err
+
+    def test_temp_files_of_dead_writers_are_removed_and_live_ones_kept(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait(timeout=60)
+        out = tmp_path / "out"
+        (out / "runs").mkdir(parents=True)
+        (out / "cache").mkdir()
+        dead = [out / "runs" / f"demo__x.csv.{child.pid}.tmp",
+                out / "cache" / f"0123.gdsd.{child.pid}.tmp",
+                out / f"summary.csv.{child.pid}.tmp"]
+        live = out / "runs" / f"demo__y.csv.{os.getpid()}.tmp"
+        for path in dead + [live]:
+            path.write_text("partial")
+        assert run_experiment(parse_config(write_config(tmp_path))) == 0
+        assert not any(path.exists() for path in dead)
+        assert live.read_text() == "partial"
+
     def test_runs_and_summary(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
         assert run_experiment(spec) == 0
