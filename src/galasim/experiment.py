@@ -190,7 +190,7 @@ def _coerce_protocol_value(name: str, raw: str):
 
 
 def parse_config(path) -> ExperimentSpec:
-    """Parse an experiment config file; unknown keys are hard errors (domains: _check_args)."""
+    """Parse an experiment config file; unknown keys are hard errors."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     path = Path(path)
