@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """The disagreement objectives, side by side.
 
-Compares the quadratic all-pairs loss, the single random pair, and the
-two-group loss on the same target batch; then runs the adversarial extractor
-update and watches the group disagreement shrink.
+Compares the all-pairs loss (quadratically many terms), the single random
+pair, and the two-group loss on the same target batch; then runs the
+adversarial extractor update and watches the group disagreement shrink.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ batch = target.samples[:128].astype(np.float64)
 
 full = full_pairwise_loss(extractor, heads, batch)
 print(f"all-pairs loss over {N * (N - 1) // 2} pairs: {full:.4f} "
-      f"(cost grows quadratically with sources)")
+      f"(terms grow quadratically with sources; one stacked pass computes them)")
 
 pair_loss, _ = idd_loss(extractor, heads[0], heads[1], batch)
 print(f"one random pair (0,1): {pair_loss:.4f} (cheap but high variance)")

@@ -69,6 +69,7 @@ from .weighting import (
 from .discrepancy import (
     GroupClassifier,
     GroupPartition,
+    all_pairs_loss,
     away_from_kinks,
     enumerate_partitions,
     full_pairwise_loss,

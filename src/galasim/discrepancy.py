@@ -2,10 +2,10 @@
 
 The inter-group loss is the batch-mean L1 distance between the predictions of
 two weighted classifier groups; the single-pair loss is its special case with
-singleton groups; the full pairwise loss sums the pair loss over all unordered
-classifier pairs. Gradients flow only into the shared feature extractor, with
-the L1 subgradient taken as 0 at kinks so that identical groups are an exact
-fixed point.
+singleton groups; the all-pairs loss sums the pair loss over all unordered
+pairs of N classifiers at O(N) forward and backward cost. Gradients flow only
+into the shared feature extractor, with the L1 subgradient taken as 0 at kinks
+so that identical groups are an exact fixed point.
 """
 
 from __future__ import annotations
@@ -132,35 +132,39 @@ class GroupClassifier:
     def _average(self, member_probs: np.ndarray) -> np.ndarray:
         return self._member_sum(self.weights[:, None, None] * member_probs)
 
-    def _backprop_dfeatures(self, member_probs: np.ndarray,
-                            dprobs: np.ndarray) -> np.ndarray:
+    def _backprop_dfeatures(self, member_probs: np.ndarray, dq: np.ndarray) -> np.ndarray:
         """d(loss)/d(features) through every member's softmax and linear
-        layer, given the members' probabilities and d(loss)/d(prediction)."""
-        dq = self.weights[:, None, None] * dprobs
+        layer, given the members' probabilities and d(loss)/d(their probs)."""
         # softmax Jacobian-transpose: q * (dq - <dq, q>)
         du = member_probs * (dq - (dq * member_probs).sum(axis=-1, keepdims=True))
         return self._member_sum(du @ self._heads.params.unpack()["w"])
+
+
+def _trace(extractor: FeatureExtractor, target_batch: np.ndarray,
+           *groups: GroupClassifier) -> list[np.ndarray]:
+    """The extractor's activations on a nonempty batch the groups can read."""
+    x = np.atleast_2d(np.asarray(target_batch, dtype=np.float64))
+    if x.shape[0] == 0:
+        raise ValueError("disagreement loss: empty batch")
+    if any(gc.input_dim != extractor.output_dim for gc in groups):
+        raise ConfigError("group classifier feature dim does not match extractor output")
+    return extractor.forward_trace(x)
 
 
 def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassifier,
              target_batch: np.ndarray) -> tuple[float, ParamVec]:
     """Batch-mean L1 distance between the two group predictions and its
     gradient with respect to the extractor parameters only."""
-    x = np.atleast_2d(np.asarray(target_batch, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise ValueError("igd_loss: empty batch")
-    if gc1.input_dim != extractor.output_dim or gc2.input_dim != extractor.output_dim:
-        raise ConfigError("group classifier feature dim does not match extractor output")
-    acts = extractor.forward_trace(x)
+    acts = _trace(extractor, target_batch, gc1, gc2)
     features = acts[-1]
     q1 = gc1._member_probs(features)  # each member's softmax, computed once
     q2 = gc2._member_probs(features)
     diff = gc1._average(q1) - gc2._average(q2)
-    batch = x.shape[0]
+    batch = features.shape[0]
     loss = float(np.abs(diff).sum() / batch)
     sign = np.sign(diff) / batch  # sign(0) = 0 keeps identical groups a fixed point
-    dfeat = gc1._backprop_dfeatures(q1, sign)
-    dfeat += gc2._backprop_dfeatures(q2, -sign)
+    dfeat = gc1._backprop_dfeatures(q1, gc1.weights[:, None, None] * sign)
+    dfeat += gc2._backprop_dfeatures(q2, gc2.weights[:, None, None] * -sign)
     grad = extractor.backprop(acts, dfeat)
     return loss, grad
 
@@ -173,17 +177,28 @@ def idd_loss(extractor: FeatureExtractor, clf_i: Classifier, clf_j: Classifier,
     return igd_loss(extractor, gc_i, gc_j, target_batch)
 
 
+def all_pairs_loss(extractor: FeatureExtractor, classifiers: Sequence[Classifier],
+                   target_batch: np.ndarray) -> tuple[float, ParamVec]:
+    """The pair loss summed over all unordered pairs of the N classifiers, and
+    its extractor gradient, from one forward pass, one stacked softmax and one
+    backprop: d/dq_i of sum_{i<j} |q_i - q_j| is sum_{j != i} sign(q_i - q_j),
+    so only these (batch, C) sign sums are quadratic in N."""
+    n = len(classifiers)
+    if n < 2:
+        raise ValueError("the pairwise loss needs at least 2 classifiers")
+    heads = GroupClassifier(list(enumerate(classifiers)), np.full(n, 1.0 / n))
+    acts = _trace(extractor, target_batch, heads)
+    q = heads._member_probs(acts[-1])  # (N, batch, C); the group weights go unused
+    diff = q[:, None] - q[None]  # (N, N, batch, C): q_i - q_j
+    loss = float(np.abs(diff).sum() / (2 * q.shape[1]))  # each pair appears twice
+    dq = np.sign(diff).sum(axis=1) / q.shape[1]  # sign(0) = 0: tied heads add nothing
+    return loss, extractor.backprop(acts, heads._backprop_dfeatures(q, dq))
+
+
 def full_pairwise_loss(extractor: FeatureExtractor, classifiers: Sequence[Classifier],
                        target_batch: np.ndarray) -> float:
-    """Sum of the pair loss over all unordered classifier pairs (evaluation only)."""
-    if len(classifiers) < 2:
-        raise ValueError("full_pairwise_loss needs at least 2 classifiers")
-    total = 0.0
-    for i in range(len(classifiers)):
-        for j in range(i + 1, len(classifiers)):
-            loss, _ = idd_loss(extractor, classifiers[i], classifiers[j], target_batch)
-            total += loss
-    return total
+    """all_pairs_loss without the gradient (evaluation only)."""
+    return all_pairs_loss(extractor, classifiers, target_batch)[0]
 
 
 def away_from_kinks(extractor: FeatureExtractor, gc1: GroupClassifier,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, IntegrityError, ParseError, UnsupportedVersionError
+from .errors import ConfigError, DataError, IntegrityError, ParseError, UnsupportedVersionError
 from .nn import Scratch
 
 
@@ -143,6 +143,15 @@ class DomainDataset:
             labels[idx], self.num_classes,
             self.provenance + (tag,), self.raster_shape)
         return make(train_idx, "split_train"), make(test_idx, "split_test")
+
+
+def check_compatible(datasets: Sequence[DomainDataset]) -> None:
+    """ConfigError naming each dataset's value unless all share feature dim
+    and class count, as one model must fit them all."""
+    for what, key in (("feature dim", "feature_dim"), ("class count", "num_classes")):
+        if len({getattr(d, key) for d in datasets}) > 1:
+            found = ", ".join(f"{d.name!r} {getattr(d, key)}" for d in datasets)
+            raise ConfigError(f"datasets disagree on {what}: {found}")
 
 
 # ---------------------------------------------------------------------------

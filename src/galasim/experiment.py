@@ -30,6 +30,7 @@ from .domains import (
     DomainDataset,
     TransformSpec,
     apply_transform_chain,
+    check_compatible,
     gen_gaussian_domain,
     gen_glyph_domain,
     load_dataset,
@@ -402,10 +403,12 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     the whole job list, and is then sent job indices only: under `fork` the
     workers inherit the domains, so none is pickled; under `spawn` or
     `forkserver` the suite is pickled once per worker. A worker that dies
-    breaks the pool: every run not collected by then whose CSV does not exist
-    fails with a `WorkerError`, the summary is still written and the call
-    returns 3. `parallel` < 1, or a domain value its generator or a transform
-    rejects, raises `ConfigError`.
+    breaks the pool; the runs still pending run again in fresh pools, so
+    only the run whose worker died fails, with a `WorkerError` (see
+    `_pool_results`), the summary is still written and the call returns 3.
+    `parallel` < 1, a domain value its generator or a transform rejects, or
+    built domains that disagree on feature dim or class count raise
+    `ConfigError` before any run starts.
 
     Completed runs are skipped by content hash, so interrupted suites resume
     (temp files of writers killed mid-write are removed first); rerunning an
@@ -424,6 +427,7 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}")
         return 4
+    check_compatible(list(domains.values()))  # else every run would fail alike
     target = domains[spec.target_name]
     sources = [domains[e.name] for e in spec.domains if e.name != spec.target_name]
     domain_key = "|".join(e.content_key() for e in spec.domains)
@@ -482,22 +486,44 @@ def _run_job(k: int):
 
 
 def _pool_results(jobs: list, workers: int):
-    """Yield each job's (path, error) in job order from a pool of `workers`
-    processes started with `_execute_run_star` as the parent reads it now. If
-    a worker dies, every job not yet yielded is yielded as a WorkerError,
-    unless its CSV was written before the pool broke."""
+    """Yield each job's (path, error) from pools of at most `workers`
+    processes started with `_execute_run_star` as the parent reads it now.
+
+    A worker that dies breaks its pool. The jobs not yet yielded whose CSV
+    does not exist then run in a fresh pool; after a second break each runs
+    in a one-worker pool of its own, so a job that kills its worker fails
+    alone, with a WorkerError. That is at most 2 + pending pools; results
+    come in job order unless a pool breaks."""
+    left = yield from _one_pool(jobs, range(len(jobs)), workers)
+    if left:
+        left = yield from _one_pool(jobs, left, workers)
+    for k in left:
+        lost = yield from _one_pool(jobs, [k], 1)
+        if lost:
+            error = WorkerError("its sweep worker process died")
+            yield jobs[k][3], f"{type(error).__name__}: {error}"
+
+
+def _one_pool(jobs: list, indices, workers: int):
+    """Yield the results of jobs[k], k in indices, from one pool; if a worker
+    dies, yield those whose CSV was written and return the others' indices."""
     done = 0
     try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=min(workers, len(indices)),
+                                 initializer=_init_worker,
                                  initargs=(_execute_run_star, jobs)) as pool:
-            for result in pool.map(_run_job, range(len(jobs))):
+            for result in pool.map(_run_job, indices):
                 done += 1
                 yield result
-    except BrokenProcessPool as exc:
-        lost = WorkerError(f"sweep worker process lost: {exc}")
-        error = f"{type(lost).__name__}: {lost}"
-        for *_, path in jobs[done:]:
-            yield path, None if Path(path).exists() else error
+    except BrokenProcessPool:
+        left = []
+        for k in indices[done:]:
+            if Path(jobs[k][3]).exists():
+                yield jobs[k][3], None
+            else:
+                left.append(k)
+        return left
+    return []
 
 
 def _final_accuracy_from_csv(path: Path) -> float:

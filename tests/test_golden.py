@@ -22,8 +22,8 @@ DIGESTS = {
     ("gala", 0.4): "34b85d5619dfa30504c3c0aea724de0cf10bf3541bce46f89d07447c026b0b43",
     ("fact_idd", None): "d5395eb506997b5643b4ca5cf85864407de9da5cf1926b2e251a78099aa93d7d",
     ("fact_idd", 0.4): "6e2c7eea1a6cffd69fbfb8a5c9af35cf2d541fde678bd0ae14514aa460b96ac2",
-    ("full_pairwise", None): "f6de909f723f3e26e19e3f98ac3f6d7c9d5c4e6789dee01e4c2ac1fd568c8c83",
-    ("full_pairwise", 0.4): "98b99868e0b6a3e82a175157f2327c395176c8dcafdb4ae0df87150623d27680",
+    ("full_pairwise", None): "07da43f8dc9d16b429033c4232707f0139bfd16537cfde0f4d18a7106e1ccfbd",
+    ("full_pairwise", 0.4): "f4ae88c6b3d365fc50d53bf17a2a0900a183ce4013d4104afaba64d31839ffc0",
     ("source_only", None): "74828e4cc4e9646b2737476e80054fc7cd16cc357f9e7032c332b87b058d4e8e",
     ("source_only", 0.4): "12aa7aeeb1665673a38bdfb7c52c647e0540f82ff7f8355eceb9043c1b08e1d0",
     ("oracle", None): "12b3f5cc2639c1791e76d4205a5aefa0681533e9970532aa3ab96ae38a078e57",
@@ -37,9 +37,9 @@ MORE_DIGESTS = {
     ("gala", None, (("weighting", "uniform"),)):
         "d4bafb984564cb9fc6f7e09db2a56dba14f791f59210088e50baa8b6495aee19",
     ("full_pairwise", None, (("weighting", "mdmgb"),)):
-        "61d129c72cd6ee778d49c02e1de5154a742bd62907b6a2978ffe531d504020a7",
+        "27be033b715ef51a0f5c7c3bd1f39cccdc8110d931ec57f39a400bb73f38db4d",
     ("full_pairwise", None, (("weighting", "uniform"),)):
-        "2b9c4681430243e19a6cf8c98d4296aff0f50f26deb0ef4b4f6abe3e5730c9f9",
+        "fedd2ce41653ee3f27f921899e002801ab885ca0db464029451d7eaffeb4ad52",
     ("gala", None, (("use_igd", False),)):
         "de3a04d2c3aa86a77dea33d0a22a57cf0059821b6a93d203954a114c968d08dd",
     ("gala", None, (("local_epochs", 2),)):
@@ -47,7 +47,7 @@ MORE_DIGESTS = {
     ("fact_idd", None, (("local_epochs", 2),)):
         "e51cec2549159280354e9a0becf208ea91a330a7ed93c8a33182f399edea27fc",
     ("full_pairwise", None, (("local_epochs", 2),)):
-        "fd209a19fab6720a6c5ca05b6562f39eccb5593028d82750ee5a9105946c2918",
+        "ac3d3bfd2fd46fbc08f9d9d83829878546f4a57ba7cb55f396986f855066e7d9",
     ("source_only", None, (("local_epochs", 2),)):
         "47e35e3e2b500be6501d98c54a5ff06c0afb00eab457842324c1b39d24347568",
     ("oracle", None, (("local_epochs", 2),)):
@@ -67,7 +67,7 @@ MORE_DIGESTS = {
     ("fact_idd", None, (("n_sources", 4),)):
         "c28c8f6541518f7c8a732d6872af03c08465c87eaeda2f81a9b1a8a0b2377cd3",
     ("full_pairwise", None, (("n_sources", 4),)):
-        "52cf652ba315dfb52fe372ee0edad436b98057f450cba9b436bb8fddbfb6875f",
+        "14e636d50f8b44232d0e64c0f321e35e20a88115b4177c495e84b4c8b8b93d76",
     ("source_only", None, (("n_sources", 4),)):
         "47f0571f09194a3ae0e9d063ad81b2b5732a29c7ccc6e2328db1eb62ab763f0e",
     ("oracle", None, (("n_sources", 4),)):
@@ -85,9 +85,9 @@ MODEL_DIGESTS = {
     ("fact_idd", 0.4, ()):
         "a6f46592530a9690c563251dd11bfb755a5b7012ec06fcc321292676acd44c13",
     ("full_pairwise", None, ()):
-        "1e1ace104651627fba19f638ebff5d2edfde2e5c2f136c5e89f895fc6693a13a",
+        "1110d29d06176b3e9a0f4d2b516cf8294a299a8e6bb12be0ca14087207211b8c",
     ("full_pairwise", 0.4, ()):
-        "aa67855d2b5a2df09b834baf11f8e399de24f72c0eff6e16992d89f2195c21a8",
+        "97f0140a5899a053ab0d01134073320e8959ab093322ec5c57870169e56b6cdd",
     ("source_only", None, ()):
         "d2bf37d14ec2fde60c10e8fee7e119e9346d8f94db2dbb5efa4833a16ff5150d",
     ("source_only", 0.4, ()):
@@ -101,9 +101,9 @@ MODEL_DIGESTS = {
     ("gala", None, (("weighting", "uniform"),)):
         "7ba2796adf967a7032a9c4e8cff620def95821d3eee66f511a33a219c4f9584c",
     ("full_pairwise", None, (("weighting", "mdmgb"),)):
-        "244e9745ea84edef1431ee4e7fd3f0bca642e4ea9ddc76f250b9df32cadde1ed",
+        "1d5c83e2ce8862c5f3ee0ca8ebc48abe19f53e26dab90b495682d66f84238b85",
     ("full_pairwise", None, (("weighting", "uniform"),)):
-        "ee24ab2d21d483cfa25c54d22b717d8ccea0adf5f6c54bd006e0726f6152d8cf",
+        "2ce5a33cf4e5e67fd855dd1f93b1137b602574fec4ae454690b6292a6ab11c59",
     ("gala", None, (("use_igd", False),)):
         "21e416652e08690cedd25ba2c077f611e9be98a33632d9231eae09ba407c7eaa",
     ("gala", None, (("local_epochs", 2),)):
@@ -111,7 +111,7 @@ MODEL_DIGESTS = {
     ("fact_idd", None, (("local_epochs", 2),)):
         "acbbd341ba7ca68aa51f9473f41719c5a31f23dc816d83d1aa2ff64acb69f96c",
     ("full_pairwise", None, (("local_epochs", 2),)):
-        "38b86c6bec102e4952824bd7102dde390c51059089015c0eef7cad49cdc33dca",
+        "15a8889e0ce20d452bf5358e6d5602ebb7a4e72b51de271caa3739af3687e85d",
     ("source_only", None, (("local_epochs", 2),)):
         "5349374d11835a9a6658929529f168b22d76584fd4db79e14c366d3ab7812da8",
     ("oracle", None, (("local_epochs", 2),)):
@@ -131,7 +131,7 @@ MODEL_DIGESTS = {
     ("fact_idd", None, (("n_sources", 4),)):
         "451b48b17344338358439ee7547df103a1ad2023cefc280ca7937e53dbc6e11b",
     ("full_pairwise", None, (("n_sources", 4),)):
-        "d4c0ede78488814e5257e37b9f330058495caad21403a3d4044aaf403abfff05",
+        "fc1559f8f6ec1481601279fddc722482ff801d23430086ba1cc652d71d5b128c",
     ("source_only", None, (("n_sources", 4),)):
         "29425dd52adacf27b3a09bd429de1f36b28d781b7c03102aa6697b63d2502f1e",
     ("oracle", None, (("n_sources", 4),)):
