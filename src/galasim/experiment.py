@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import hashlib
 import inspect
 import itertools
@@ -19,7 +20,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,8 +42,6 @@ from .federation import ProtocolConfig, RoundRecord, run_protocol
 
 log = logging.getLogger(__name__)
 
-_EXPERIMENT_KEYS = {"name", "target", "output_dir", "num_seeds"}
-_PROTOCOL_FIELDS = {f.name: f for f in fields(ProtocolConfig)}
 # Version of the generators and the GDSD format behind cached domains. It is
 # part of the cache digest: bump it when a change alters the bytes a domain
 # entry builds or saves, so stale cache files are rebuilt, not reused.
@@ -92,20 +91,30 @@ class ExperimentSpec:
     num_seeds: int
 
     def validate(self) -> None:
+        """Check the suite, the protocol and every configuration of the sweep
+        grid; a message starts with the config section at fault."""
         names = [d.name for d in self.domains]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate domain names in suite")
         if names.count(self.target_name) != 1:
-            raise ConfigError(
-                f"target {self.target_name!r} must appear exactly once in the suite")
-        for field_name, values in self.sweep:
-            if field_name not in _PROTOCOL_FIELDS:
-                raise ConfigError(f"sweep field {field_name!r} is not a protocol field")
-            if not values:
-                raise ConfigError(f"sweep field {field_name!r} has no values")
+            raise ConfigError(f"[experiment]: target {self.target_name!r} must appear "
+                              f"exactly once in the suite")
         if self.num_seeds < 1:
-            raise ConfigError("num_seeds must be >= 1")
-        self.protocol.validate()
+            raise ConfigError("[experiment]: num_seeds must be >= 1")
+        for field_name, values in self.sweep:
+            if field_name not in _parameters(ProtocolConfig) or field_name == "seed":
+                raise ConfigError(f"[sweep]: {field_name!r} is not a protocol field to sweep "
+                                  f"(seeds come from [protocol] seed and num_seeds)")
+            if not values:
+                raise ConfigError(f"[sweep]: {field_name} has no values")
+            if any(v in values[:k] for k, v in enumerate(values)):
+                raise ConfigError(f"[sweep]: {field_name} repeats a value: {values}")
+        for overrides in [{}, *_sweep_grid(self)]:  # the protocol, then the grid
+            try:
+                replace(self.protocol, **overrides).validate()
+            except ConfigError as exc:
+                where = f"[sweep] {_run_label(overrides)}" if overrides else "[protocol]"
+                raise ConfigError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -114,37 +123,65 @@ class ExperimentSpec:
 _TRANSFORM_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$")
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("none", ""):
-        return None
+def _number(text: str):
+    """A float parameter's value as written: an int stays an int."""
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
         return float(text)
-    except ValueError:
-        return text
 
 
-def _check_args(fn, args: dict, where: str) -> None:
-    """Check a config's `args` for fn against its signature: they are its int
-    and float parameters, the required ones given, each of its type (an int
-    passes for a float). Value ranges are left to fn."""
-    params = inspect.signature(fn).parameters  # annotations are strings in domains.py
-    keys = {k for k, p in params.items() if p.annotation in ("int", "float")}
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+# The reader of each parameter annotation a config value may have (annotations
+# are strings: domains.py and federation.py import `annotations`). A reader
+# raises ValueError on text that is not of its type.
+_READERS = {
+    "int": int,  # int("2.5"), int("1e3") and int("true") raise
+    "float": float,
+    "bool": _bool,
+    "str": str,
+    "Optional[float]": lambda text: None if text.lower() == "none" else float(text),
+    "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split(",")) if text else (),
+}
+
+
+@functools.lru_cache(maxsize=32)  # parse_config reads a schema per section and sweep value
+def _parameters(fn):
+    return inspect.signature(fn).parameters
+
+
+def _check_args(fn, raw: dict, where: str, keep_ints: bool = False) -> dict:
+    """Read a config section's raw strings as arguments of fn: its parameters
+    with an annotation in `_READERS` are the keys, those without a default
+    are required, and each value is read as its annotated type. With
+    `keep_ints`, an int given for a float stays an int, as a domain's content
+    key spells it. Value ranges are left to fn."""
+    params = _parameters(fn)
+    keys = {k for k, p in params.items() if p.annotation in _READERS}
     required = {k for k in keys if params[k].default is params[k].empty}
-    for problem, names in (("unknown", set(args) - keys), ("missing", required - set(args))):
+    for problem, names in (("unknown", set(raw) - keys), ("missing", required - set(raw))):
         if names:
             raise ConfigError(f"{where}: {problem} key(s) {sorted(names)}")
-    for key, value in args.items():
+    args = {}
+    for key, text in raw.items():
         hint = params[key].annotation
-        if type(value) not in ((int,) if hint == "int" else (int, float)):
-            raise ConfigError(f"{where}: {key} must be of type {hint}, got {value!r}")
+        read = _number if keep_ints and hint == "float" else _READERS[hint]
+        try:
+            args[key] = read(text.strip())
+        except ValueError:
+            raise ConfigError(f"{where}: {key} must be of type {hint}, got {text}") from None
+    return args
+
+
+def _experiment(name: str, target: str, output_dir: str = "galasim_out",
+                num_seeds: int = 1) -> dict:
+    """The [experiment] section's keys, as ExperimentSpec fields."""
+    return dict(name=name, target_name=target, output_dir=output_dir, num_seeds=num_seeds)
 
 
 def _parse_transforms(text: str, where: str) -> tuple[TransformSpec, ...]:
@@ -157,41 +194,24 @@ def _parse_transforms(text: str, where: str) -> tuple[TransformSpec, ...]:
         kind, argtext = m.group(1), m.group(2)
         if kind not in TRANSFORMS:
             raise ConfigError(f"{where}: unknown transform kind {kind!r}")
-        params = {}
+        raw = {}
         for arg in filter(None, (a.strip() for a in argtext.split(","))):
             key, eq, value = (s.strip() for s in arg.partition("="))
-            if not eq or key in params:
+            if not eq or key in raw:
                 raise ConfigError(f"{where}: transform argument {arg!r} needs key=value, "
                                   f"each key once")
-            params[key] = _parse_scalar(value)
-        _check_args(TRANSFORMS[kind], params, f"{where}: {kind}")
+            raw[key] = value
+        params = _check_args(TRANSFORMS[kind], raw, f"{where}: {kind}", keep_ints=True)
         seed = params.pop("seed", 0)
         chain.append(TransformSpec(kind, params, seed))
     return tuple(chain)
 
 
-def _coerce_protocol_value(name: str, raw: str):
-    if name == "hidden_dims":
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    value = _parse_scalar(raw)
-    if name == "mixup_alpha":
-        return None if value is None else float(value)
-    hint = _PROTOCOL_FIELDS[name].type
-    if value is None:
-        raise ConfigError(f"protocol.{name}: value required")
-    if hint in ("int", int):
-        return int(value)
-    if hint in ("float", float):
-        return float(value)
-    if hint in ("bool", bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"protocol.{name}: expected true/false, got {raw!r}")
-        return value
-    return value
-
-
 def parse_config(path) -> ExperimentSpec:
-    """Parse an experiment config file; unknown keys are hard errors."""
+    """Parse an experiment config file. Each section is read against a
+    signature (see `_check_args`): [experiment] against `_experiment`,
+    [protocol] and each [sweep] value against `ProtocolConfig`, a domain
+    section against its generator. Unknown keys are hard errors."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     path = Path(path)
@@ -207,30 +227,15 @@ def parse_config(path) -> ExperimentSpec:
 
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
-    exp = dict(parser.items("experiment"))
-    unknown = set(exp) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) in [experiment]: {sorted(unknown)}")
-    for required in ("name", "target"):
-        if required not in exp:
-            raise ConfigError(f"{path}: [experiment] needs key {required!r}")
-
-    protocol_kwargs = {}
-    if parser.has_section("protocol"):
-        for key, raw in parser.items("protocol"):
-            if key not in _PROTOCOL_FIELDS:
-                raise ConfigError(f"{path}: unknown key protocol.{key}")
-            protocol_kwargs[key] = _coerce_protocol_value(key, raw)
-    protocol = ProtocolConfig(**protocol_kwargs)
-
-    sweep = []
-    if parser.has_section("sweep"):
-        for key, raw in parser.items("sweep"):
-            if key not in _PROTOCOL_FIELDS:
-                raise ConfigError(f"{path}: unknown sweep field {key!r}")
-            values = [_coerce_protocol_value(key, v.strip())
-                      for v in raw.split(",") if v.strip()]
-            sweep.append((key, values))
+    exp = _check_args(_experiment, dict(parser.items("experiment")), f"{path}: [experiment]")
+    for optional in ("protocol", "sweep"):
+        if not parser.has_section(optional):
+            parser.add_section(optional)
+    protocol = ProtocolConfig(**_check_args(ProtocolConfig, dict(parser.items("protocol")),
+                                            f"{path}: [protocol]"))
+    sweep = [(key, [_check_args(ProtocolConfig, {key: v}, f"{path}: [sweep]")[key]
+                    for v in text.split(",") if v.strip()])
+             for key, text in parser.items("sweep")]
 
     domains = []
     for section in parser.sections():
@@ -242,23 +247,17 @@ def parse_config(path) -> ExperimentSpec:
         if not name:
             raise ConfigError(f"{path}: domain section needs a name: [domain <name>]")
         where = f"{path}: [{section}]"
-        items = dict(parser.items(section))
-        generator = items.pop("generator", None)
-        transforms = _parse_transforms(items.pop("transforms", ""), where)
-        params = {k: _parse_scalar(v) for k, v in items.items()}
-        _check_args(_generator(generator, where), params, where)
+        raw = dict(parser.items(section))
+        generator = raw.pop("generator", None)
+        transforms = _parse_transforms(raw.pop("transforms", ""), where)
+        params = _check_args(_generator(generator, where), raw, where, keep_ints=True)
         domains.append(DomainEntry(name, generator, params, transforms))
 
-    spec = ExperimentSpec(
-        name=exp["name"],
-        domains=domains,
-        target_name=exp["target"],
-        protocol=protocol,
-        sweep=sweep,
-        output_dir=exp.get("output_dir", "galasim_out"),
-        num_seeds=int(exp.get("num_seeds", 1)),
-    )
-    spec.validate()
+    spec = ExperimentSpec(domains=domains, protocol=protocol, sweep=sweep, **_experiment(**exp))
+    try:
+        spec.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return spec
 
 

@@ -141,6 +141,9 @@ class ProtocolConfig:
             raise ConfigError("eval_fraction must be in (0, 1)")
         if self.mixup_alpha is not None and self.mixup_alpha <= 0:
             raise ConfigError("mixup_alpha must be positive when set")
+        if any(width < 1 for width in self.hidden_dims) or self.feature_dim < 1:
+            raise ConfigError(f"hidden_dims and feature_dim must be >= 1, got "
+                              f"{self.hidden_dims} and {self.feature_dim}")
 
 
 @dataclass

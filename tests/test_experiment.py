@@ -6,6 +6,7 @@ import functools
 import logging
 import multiprocessing
 import os
+import string
 import subprocess
 import sys
 import tempfile
@@ -110,6 +111,26 @@ BAD_SECTIONS = {
 }
 
 
+# (config section named in the error, line of CONFIG, its bad replacement)
+BAD_VALUES = {
+    "float_for_int": ("[protocol]", "rounds = 2", "rounds = 2.5"),
+    "integral_float_for_int": ("[protocol]", "rounds = 2", "rounds = 2.0"),
+    "bool_for_int": ("[protocol]", "rounds = 2", "rounds = true"),
+    "text_for_int": ("[protocol]", "rounds = 2", "rounds = abc"),
+    "float_width": ("[protocol]", "hidden_dims = 16", "hidden_dims = 8.5"),
+    "zero_width": ("[protocol]", "hidden_dims = 16", "hidden_dims = 8,0"),
+    "negative_width": ("[protocol]", "hidden_dims = 16", "hidden_dims = -3"),
+    "zero_feature_dim": ("[protocol]", "feature_dim = 8", "feature_dim = 0"),
+    "text_for_float": ("[protocol]", "lr0 = 0.05", "lr0 = fast"),
+    "text_for_mixup_alpha": ("[protocol]", "lr0 = 0.05", "lr0 = 0.05\nmixup_alpha = abc"),
+    "text_num_seeds": ("[experiment]", "num_seeds = 2", "num_seeds = two"),
+    "seed_swept": ("[sweep]", "tau = 0.5, 2.0", "seed = 1, 2"),
+    "repeated_sweep_value": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, 3"),
+    "repeated_after_typing": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, 3.0"),
+    "invalid_sweep_configuration": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, -1"),
+}
+
+
 def with_section(tmp_path, section):
     """The CONFIG suite plus one source section named broken_src."""
     return write_config(tmp_path, CONFIG + "\n[domain broken_src]\n" + section)
@@ -206,6 +227,88 @@ class TestParseConfig:
         text = text.replace("num_seeds = 2", "num_seeds = 5")
         spec = parse_config(write_config(tmp_path, text))
         assert len(_sweep_grid(spec)) * spec.num_seeds == 25
+
+    def test_readme_config_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n")[1].split("```")[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        spec = parse_config(path)
+        assert spec.sweep == [("tau", [0.2, 0.4, 0.8, 1.0, 3.0])]
+        assert spec.domains[0].transforms[1].seed == 50
+
+    def test_values_keep_their_parsed_types(self, tmp_path):
+        text = (CONFIG.replace("lr0 = 0.05", "lr0 = 1\nmixup_alpha = 2")
+                .replace("tau = 0.5, 2.0", "tau = 1, 2.5\nuse_igd = true, false")
+                .replace("input_dim = 4\nseed = 0", "input_dim = 4\nseed = 0\ncenter_scale = 3"))
+        spec = parse_config(write_config(tmp_path, text))
+        assert (spec.protocol.lr0, spec.protocol.mixup_alpha) == (1.0, 2.0)
+        assert type(spec.protocol.lr0) is float and type(spec.protocol.mixup_alpha) is float
+        assert spec.sweep == [("tau", [1.0, 2.5]), ("use_igd", [True, False])]
+        assert type(spec.sweep[0][1][0]) is float
+        # a domain's float written as an int stays one, as its content key spells it
+        assert type(spec.domains[1].params["center_scale"]) is int
+        assert "center_scale=3," in spec.domains[1].content_key()
+
+
+def protocol_text(cfg: ProtocolConfig) -> str:
+    """`cfg` written as [protocol] lines."""
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, tuple):
+            return ",".join(map(str, value))
+        return "none" if value is None else str(value)
+    return "".join(f"{f.name} = {text(getattr(cfg, f.name))}\n"
+                   for f in dataclasses.fields(cfg))
+
+
+def protocol_suite(directory: Path, text: str) -> Path:
+    """Write a two-domain suite whose [protocol] section is `text`."""
+    gaussian = "generator = gaussian\nnum_classes = 3\nsamples_per_class = 8\ninput_dim = 2\n"
+    path = directory / "exp.ini"
+    path.write_text(f"[experiment]\nname = typed\ntarget = t0\n\n[protocol]\n{text}\n"
+                    f"[domain t0]\n{gaussian}\n[domain s0]\n{gaussian}")
+    return path
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+valid_protocols = st.builds(
+    ProtocolConfig, protocol=st.sampled_from(federation.PROTOCOLS),
+    weighting=st.sampled_from(federation.WEIGHTINGS), use_igd=st.booleans(), tau=_positive,
+    rounds=st.integers(1, 10**9), local_epochs=st.integers(1, 10**9),
+    batch_size=st.integers(1, 10**9), lr0=_finite, gamma=_finite, momentum=_finite,
+    weight_decay=_finite, seed=st.integers(-2**63, 2**63),
+    mixup_alpha=st.none() | _positive,
+    hidden_dims=st.lists(st.integers(1, 4096), max_size=3).map(tuple),
+    feature_dim=st.integers(1, 4096),
+    eval_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+INT_FIELDS = [f.name for f in dataclasses.fields(ProtocolConfig) if f.type == "int"]
+
+
+class TestProtocolSection:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=valid_protocols)
+    def test_valid_protocol_reads_back_equal(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = parse_config(protocol_suite(Path(tmp), protocol_text(cfg)))
+        assert spec.protocol == cfg
+        for f in dataclasses.fields(cfg):
+            assert type(getattr(spec.protocol, f.name)) is type(getattr(cfg, f.name)), f.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(INT_FIELDS), value=st.one_of(
+        st.floats().map(repr), st.sampled_from(["2.0", "1e3", "true", "False"]),
+        st.text(string.ascii_letters, min_size=1)))
+    def test_int_field_rejects_float_bool_and_text(self, field, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = protocol_suite(Path(tmp), f"{field} = {value}\n")
+            with pytest.raises(ConfigError) as info:
+                parse_config(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: [protocol]: ")
+        assert message.endswith(f"{field} must be of type int, got {value}")
 
 
 class TestEmitMetrics:
@@ -383,6 +486,35 @@ class TestRunExperiment:
         assert "configuration error" in err and "Traceback" not in err
         assert "disagree on feature dim" in err and all(f"'{d}' " in err for d in ("t0", "g0", "g1"))
         assert not run_csvs(tmp_path / "out")
+
+    @pytest.mark.parametrize("section, old, new", BAD_VALUES.values(), ids=list(BAD_VALUES))
+    def test_bad_value_exits_2_before_any_run(self, tmp_path, capfd, section, old, new):
+        path = write_config(tmp_path, CONFIG.replace(old, new))
+        assert cli.main(["run", str(path)]) == 2
+        err = capfd.readouterr().err
+        assert f"configuration error: {path}: {section}" in err and "Traceback" not in err
+        assert not run_csvs(tmp_path / "out")
+
+    @pytest.mark.parametrize("change", [dict(hidden_dims=(8, 0)), dict(hidden_dims=(-3,)),
+                                        dict(feature_dim=0)], ids=["zero", "negative", "feature"])
+    def test_width_below_1_is_a_config_error(self, change):
+        cfg = ProtocolConfig(rounds=1, batch_size=32, **change)
+        sources = [gen_gaussian_domain(3, 24, 4, seed=i) for i in range(2)]
+        with pytest.raises(ConfigError, match="hidden_dims and feature_dim must be >= 1"):
+            run_gala(cfg, sources, gen_gaussian_domain(3, 30, 4, seed=50))
+
+    @pytest.mark.parametrize("sweep, message", [
+        ([("seed", [1, 2])], "[sweep]: 'seed' is not a protocol field to sweep"),
+        ([("tau", [3.0, 3])], "[sweep]: tau repeats a value"),
+        ([("tau", [3.0]), ("rounds", [1, 0])], "[sweep] rounds=0_tau=3.0: rounds must be >= 1"),
+    ], ids=["seed", "repeated", "invalid_configuration"])
+    def test_library_sweep_is_checked_before_any_run(self, tmp_path, sweep, message):
+        spec = parse_config(write_config(tmp_path))
+        spec.sweep = sweep
+        with pytest.raises(ConfigError) as info:
+            run_experiment(spec)
+        assert str(info.value).startswith(message)
+        assert not (tmp_path / "out").exists()
 
     def test_temp_files_of_dead_writers_are_removed_and_live_ones_kept(self, tmp_path):
         child = subprocess.Popen([sys.executable, "-c", ""])
