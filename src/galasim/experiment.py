@@ -37,7 +37,7 @@ from .domains import (
     load_dataset,
     save_dataset,
 )
-from .errors import ConfigError, DataError, GalaError, IntegrityError, ParseError, WorkerError
+from .errors import ConfigError, DataError, GalaError, ParseError, WorkerError
 from .federation import ProtocolConfig, RoundRecord, run_protocol
 
 log = logging.getLogger(__name__)
@@ -309,8 +309,8 @@ def emit_metrics(records: Sequence[RoundRecord], path) -> None:
 def build_domains(spec: ExperimentSpec, cache_dir: Optional[Path] = None
                   ) -> dict[str, DomainDataset]:
     """Generate every suite domain, reusing a disk cache keyed by content and
-    `_DOMAIN_CACHE_VERSION`. A cached file that fails its checksum is rebuilt
-    and rewritten."""
+    `_DOMAIN_CACHE_VERSION`. A cached file that does not load (truncated,
+    corrupt or of another format version) is rebuilt and rewritten."""
     out = {}
     for entry in spec.domains:
         key = f"v{_DOMAIN_CACHE_VERSION}|{entry.content_key()}"
@@ -321,7 +321,7 @@ def build_domains(spec: ExperimentSpec, cache_dir: Optional[Path] = None
                 out[entry.name] = load_dataset(cached)
                 log.info("domain %r: cache hit", entry.name)
                 continue
-            except IntegrityError as exc:
+            except ParseError as exc:
                 log.warning("rebuilding domain %r: corrupt cache file: %s", entry.name, exc)
         dataset = entry.build()
         log.info("domain %r: built", entry.name)

@@ -40,6 +40,7 @@ process, so records are byte-identical for every process count.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -51,9 +52,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# no round calls idd_loss; the benchmark's tracer still wraps it by this name
-from .discrepancy import (GroupClassifier, GroupPartition, all_pairs_loss, idd_loss,  # noqa: F401
-                          igd_loss, random_partition)
+from .discrepancy import (GroupClassifier, GroupPartition, all_pairs_loss, idd_loss, igd_loss,
+                          random_partition)
 from .domains import DomainDataset, check_compatible, mixup
 from .errors import ConfigError, DataError, NumericError, WorkerError
 from .nn import (
@@ -61,7 +61,6 @@ from .nn import (
     FeatureExtractor,
     OptimizerState,
     ParamStack,
-    ParamVec,
     Scratch,
     cross_entropy_grad,
     head_grad,
@@ -129,18 +128,24 @@ class ProtocolConfig:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"unknown weighting {self.weighting!r}")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        # every comparison with nan is false, so a nan fails its range too
+        for name, ok, rule in (
+                ("tau", 0.0 < self.tau < math.inf, "finite and > 0"),
+                ("lr0", 0.0 < self.lr0 < math.inf, "finite and > 0"),
+                ("gamma", 0.0 < self.gamma <= 1.0, "in (0, 1]"),
+                ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
+                ("eval_fraction", 0.0 < self.eval_fraction < 1.0, "in (0, 1)"),
+                ("mixup_alpha", self.mixup_alpha is None or 0.0 < self.mixup_alpha < math.inf,
+                 "finite and > 0 when set")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if self.local_epochs < 1:
             raise ConfigError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise ConfigError("eval_fraction must be in (0, 1)")
-        if self.mixup_alpha is not None and self.mixup_alpha <= 0:
-            raise ConfigError("mixup_alpha must be positive when set")
         if any(width < 1 for width in self.hidden_dims) or self.feature_dim < 1:
             raise ConfigError(f"hidden_dims and feature_dim must be >= 1, got "
                               f"{self.hidden_dims} and {self.feature_dim}")
@@ -371,30 +376,21 @@ class _SourceBlock:
         return heads
 
 
-def _serve_block(conn, block: _SourceBlock, extractor: FeatureExtractor,
-                 classifier: Classifier, inherited, cpus: set[int]) -> None:
-    """Worker loop on `cpus`: answer ("train" | "finetune", round, lr, param
-    arrays) requests for `block` until the parent closes its end of the pipe.
-    Only parameter arrays, centroids, losses and exceptions cross it."""
+def _serve_block(conn, block: _SourceBlock, inherited, cpus: set[int]) -> None:
+    """Worker loop on `cpus`: answer each (phase, args) request with
+    `getattr(block, phase)(*args)`, the call and result objects of the
+    caller's own block, until the parent closes its end of the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     os.sched_setaffinity(0, cpus)
     for other in inherited:  # parent ends of the pipes, so EOF reaches us
         other.close()
-    spec_g, spec_f = extractor.params.shape_spec, classifier.params.shape_spec
     while True:
         try:
-            phase, t, lr, values = conn.recv()
+            phase, args = conn.recv()
         except EOFError:
             return
         try:
-            if phase == "train":
-                centroids, trained, losses = block.train(
-                    t, lr, extractor.with_params(ParamVec(values[0], spec_g)),
-                    classifier.with_params(ParamVec(values[1], spec_f)))
-                reply = ("ok", centroids, [p.values for p in trained], losses)
-            else:
-                heads = block.finetune(t, lr, extractor.with_params(ParamVec(values[0], spec_g)))
-                reply = ("ok", [f.params.values for f in heads])
+            reply = ("ok", getattr(block, phase)(*args))
         except Exception as exc:  # re-raised by the parent, type and fields kept
             try:
                 pickle.loads(pickle.dumps(exc))
@@ -408,34 +404,33 @@ class _BlockWorker:
     """A forked process serving one _SourceBlock; `open_pipes` are the parent
     ends of earlier workers' pipes, which the child closes."""
 
-    def __init__(self, block: _SourceBlock, extractor: FeatureExtractor,
-                 classifier: Classifier, open_pipes: list, cpus: set[int]):
+    def __init__(self, block: _SourceBlock, open_pipes: list, cpus: set[int]):
         ctx = multiprocessing.get_context("fork")
         self.indices = block.indices
         self.conn, child = ctx.Pipe()
         self.process = ctx.Process(
             target=_serve_block, daemon=True,
-            args=(child, block, extractor, classifier, [*open_pipes, self.conn], cpus))
+            args=(child, block, [*open_pipes, self.conn], cpus))
         self.process.start()
         child.close()  # else a dead worker's end stays open here and recv hangs
 
-    def submit(self, phase: str, t: int, lr: float, *models) -> None:
+    def submit(self, phase: str, *args) -> None:
         try:
-            self.conn.send((phase, t, lr, [m.params.values for m in models]))
+            self.conn.send((phase, args))
         except OSError:
             pass  # a dead worker is reported by result()
 
-    def result(self, t: int) -> tuple:
+    def result(self, t: int):
         """The reply to the last request; raises what the block raised."""
         try:
-            kind, *payload = self.conn.recv()
+            kind, payload = self.conn.recv()
         except (EOFError, OSError) as exc:
             self.process.join(timeout=5.0)
             raise WorkerError(
                 f"worker for sources {self.indices.start}-{self.indices.stop - 1} "
                 f"exited with code {self.process.exitcode} in round {t}") from exc
         if kind == "error":
-            raise payload[0]
+            raise payload
         return payload
 
     def close(self) -> None:
@@ -546,8 +541,7 @@ def sample_pair(seed: int, round_index: int, n_sources: int) -> tuple[int, int]:
 
 
 @contextmanager
-def _source_pool(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
-                 extractor: FeatureExtractor, classifier: Classifier):
+def _source_pool(cfg: ProtocolConfig, sources: Sequence[DomainDataset]):
     """Yields (this process's _SourceBlock, the _BlockWorkers of the further
     blocks); reaps them and restores this process's affinity on every exit."""
     blocks = [_SourceBlock(cfg, sources, b)
@@ -561,8 +555,7 @@ def _source_pool(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
     try:
         try:
             for block, cpus in zip(blocks[1:], shares[1:]):
-                workers.append(_BlockWorker(block, extractor, classifier,
-                                            [w.conn for w in workers], cpus))
+                workers.append(_BlockWorker(block, [w.conn for w in workers], cpus))
         except OSError:  # no process to spare: this one serves every source
             while workers:
                 workers.pop().close()
@@ -631,7 +624,6 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
     target_train, target_eval = target.split(1.0 - cfg.eval_fraction, seed=cfg.seed)
     target_view = target_train.strip_labels()
     extractor, classifier = _init_model(cfg, target.feature_dim, num_classes)
-    spec_g, spec_f = extractor.params.shape_spec, classifier.params.shape_spec
     mac_g, mac_f = _mac_extractor(extractor), cfg.feature_dim * num_classes
     traffic = account_communication(protocol, n, extractor.params.size, classifier.params.size,
                                     num_classes, cfg.feature_dim, cfg.weighting)
@@ -641,7 +633,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
     # the clients that may train, by seed node; the oracle's is the target
     clients = {_TARGET_NODE: replace(target_train, name="target")} \
         if protocol == "oracle" else dict(enumerate(sources))
-    pool = _source_pool(cfg, sources, extractor, classifier) if pooled \
+    pool = _source_pool(cfg, sources) if pooled \
         else nullcontext((_SourceBlock(cfg, clients, list(clients)), []))
 
     records = []
@@ -662,10 +654,10 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
             if pooled and cfg.weighting != "uniform":
                 target_cent = compute_centroids(extractor, classifier, target_view)
             for worker in workers:
-                cents, values, block_losses = worker.result(t)
+                cents, block_trained, block_losses = worker.result(t)
                 centroids += cents
-                trained += [ParamVec(v, spec_g) for v in values]
-                losses += list(block_losses)
+                trained += block_trained
+                losses += block_losses
             source_losses = np.array(losses)
 
             # the weights: equal over the clients that trained, or by centroids
@@ -691,8 +683,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                     worker.submit("finetune", t, lr, aggregated)
                 heads = finetuned = local.finetune(t, lr, aggregated)
                 for worker in workers:
-                    (values,) = worker.result(t)
-                    heads += [classifier.with_params(ParamVec(v, spec_f)) for v in values]
+                    heads += worker.result(t)
 
             # the target stage's batch loss
             if protocol == "gala":
@@ -708,15 +699,14 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 groups = [list(partition.g1), list(partition.g2)]
                 gc1, gc2 = (GroupClassifier([(i, heads[i]) for i in g], group_w[g])
                             for g in groups)
-            elif protocol == "fact_idd":
-                gc1, gc2 = (GroupClassifier([(i, f)], np.array([1.0]))
-                            for i, f in zip(local.indices, heads))
             if protocol == "full_pairwise":  # steps on the mean pair loss
                 def stage_loss(g, batch):
                     loss, grad = all_pairs_loss(g, heads, batch)
                     pairs = n * (n - 1) / 2
                     return loss / pairs, grad.scale(1 / pairs)
-            elif protocol == "fact_idd" or (protocol == "gala" and cfg.use_igd):
+            elif protocol == "fact_idd":  # the pair's two heads
+                stage_loss = lambda g, batch: idd_loss(g, *heads, batch)
+            elif protocol == "gala" and cfg.use_igd:
                 stage_loss = lambda g, batch: igd_loss(g, gc1, gc2, batch)
             extractor, disagreement = aggregated, 0.0
             try:

@@ -6,6 +6,7 @@ import functools
 import logging
 import multiprocessing
 import os
+import shutil
 import string
 import subprocess
 import sys
@@ -31,7 +32,6 @@ from galasim import (
     run_experiment,
     run_gala,
 )
-from galasim import load_dataset
 from galasim import cli, experiment, federation
 from galasim.experiment import DomainEntry, build_domains, _sweep_grid
 
@@ -129,6 +129,19 @@ BAD_VALUES = {
     "repeated_after_typing": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, 3.0"),
     "invalid_sweep_configuration": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, -1"),
 }
+
+# protocol values outside their ranges, each in [protocol] and as a [sweep]
+# value; CONFIG sets lr0 in [protocol] and sweeps tau, so those lines change
+for _field, _value in [("lr0", "-0.05"), ("lr0", "0"), ("lr0", "nan"), ("momentum", "5"),
+                       ("momentum", "-0.1"), ("gamma", "0"), ("gamma", "2"),
+                       ("weight_decay", "-1"), ("tau", "nan"), ("tau", "inf"),
+                       ("mixup_alpha", "nan"), ("mixup_alpha", "inf")]:
+    BAD_VALUES[f"{_field}={_value}"] = (
+        "[protocol]", "lr0 = 0.05",
+        f"lr0 = {_value}" if _field == "lr0" else f"lr0 = 0.05\n{_field} = {_value}")
+    BAD_VALUES[f"swept_{_field}={_value}"] = (
+        "[sweep]", "tau = 0.5, 2.0",
+        f"tau = 0.5, {_value}" if _field == "tau" else f"tau = 0.5, 2.0\n{_field} = 0.5, {_value}")
 
 
 def with_section(tmp_path, section):
@@ -273,18 +286,20 @@ def protocol_suite(directory: Path, text: str) -> Path:
 
 
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_finite = st.floats(allow_nan=False, allow_infinity=False)
 valid_protocols = st.builds(
     ProtocolConfig, protocol=st.sampled_from(federation.PROTOCOLS),
     weighting=st.sampled_from(federation.WEIGHTINGS), use_igd=st.booleans(), tau=_positive,
     rounds=st.integers(1, 10**9), local_epochs=st.integers(1, 10**9),
-    batch_size=st.integers(1, 10**9), lr0=_finite, gamma=_finite, momentum=_finite,
-    weight_decay=_finite, seed=st.integers(-2**63, 2**63),
+    batch_size=st.integers(1, 10**9), lr0=_positive,
+    gamma=st.floats(0.0, 1.0, exclude_min=True), momentum=st.floats(0.0, 1.0, exclude_max=True),
+    weight_decay=st.floats(min_value=0.0, allow_infinity=False), seed=st.integers(-2**63, 2**63),
     mixup_alpha=st.none() | _positive,
     hidden_dims=st.lists(st.integers(1, 4096), max_size=3).map(tuple),
     feature_dim=st.integers(1, 4096),
     eval_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 INT_FIELDS = [f.name for f in dataclasses.fields(ProtocolConfig) if f.type == "int"]
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ProtocolConfig)
+                if f.type in ("float", "Optional[float]")]
 
 
 class TestProtocolSection:
@@ -309,6 +324,16 @@ class TestProtocolSection:
         message = str(info.value)
         assert message.startswith(f"{path}: [protocol]: ")
         assert message.endswith(f"{field} must be of type int, got {value}")
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(FLOAT_FIELDS),
+           value=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "-infinity"]))
+    def test_float_field_rejects_nan_and_infinity(self, field, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = protocol_suite(Path(tmp), f"{field} = {value}\n")
+            with pytest.raises(ConfigError) as info:
+                parse_config(path)
+        assert str(info.value).startswith(f"{path}: [protocol]: {field} must be ")
 
 
 class TestEmitMetrics:
@@ -493,6 +518,7 @@ class TestRunExperiment:
         assert cli.main(["run", str(path)]) == 2
         err = capfd.readouterr().err
         assert f"configuration error: {path}: {section}" in err and "Traceback" not in err
+        assert new.splitlines()[-1].partition("=")[0].strip() in err  # the key at fault
         assert not run_csvs(tmp_path / "out")
 
     @pytest.mark.parametrize("change", [dict(hidden_dims=(8, 0)), dict(hidden_dims=(-3,)),
@@ -849,18 +875,44 @@ class TestRunExperiment:
 
     def test_corrupt_cached_domain_is_rebuilt(self, tmp_path, caplog):
         spec = parse_config(write_config(tmp_path))
-        cache = tmp_path / "out" / "cache"
-        fresh = build_domains(spec, cache_dir=cache)
-        victim = sorted(cache.glob("*.gdsd"))[0]
-        blob = bytearray(victim.read_bytes())
-        blob[len(blob) // 2] ^= 0x01  # a feature byte: the checksum no longer matches
-        victim.write_bytes(bytes(blob))
-        with caplog.at_level(logging.WARNING, logger="galasim.experiment"):
-            rebuilt = build_domains(spec, cache_dir=cache)
-        assert rebuilt == fresh
-        assert any("corrupt cache file" in r.getMessage() for r in caplog.records)
-        reloaded = load_dataset(victim)
-        assert any(reloaded == d for d in fresh.values())
+        fresh = build_domains(spec, cache_dir=tmp_path / "clean")
+        clean = {p.name: p.read_bytes() for p in (tmp_path / "clean").glob("*.gdsd")}
+        cache = tmp_path / "cache"
+
+        @settings(max_examples=100, deadline=None)
+        @given(victim=st.sampled_from(sorted(clean)), truncate=st.booleans(), data=st.data())
+        def rebuilt_after(victim, truncate, data):
+            # cut the file at byte k, or flip bits of byte k, with k anywhere in it
+            blob = bytearray(clean[victim])
+            k = data.draw(st.integers(0, len(blob) - 1), label="k")
+            if truncate:
+                del blob[k:]
+            else:
+                blob[k] ^= data.draw(st.integers(1, 255), label="mask")
+            shutil.rmtree(cache, ignore_errors=True)
+            cache.mkdir()
+            for name, body in clean.items():
+                (cache / name).write_bytes(bytes(blob) if name == victim else body)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="galasim.experiment"):
+                assert build_domains(spec, cache_dir=cache) == fresh
+            assert {p.name: p.read_bytes() for p in cache.iterdir()} == clean
+            assert any("corrupt cache file" in r.getMessage() for r in caplog.records)
+
+        rebuilt_after()
+
+    def test_run_with_a_truncated_cache_file_matches_a_clean_run(self, tmp_path, capfd):
+        clean, broken = tmp_path / "clean", tmp_path / "broken"
+        clean.mkdir()
+        broken.mkdir()
+        assert cli.main(["run", str(write_config(clean))]) == 0
+        config = write_config(broken)
+        build_domains(parse_config(config), cache_dir=broken / "out" / "cache")
+        victim = sorted((broken / "out" / "cache").glob("*.gdsd"))[0]
+        victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        assert cli.main(["run", str(config)]) == 0
+        assert "Traceback" not in capfd.readouterr().err
+        assert run_csvs(broken / "out") == run_csvs(clean / "out")
 
     def test_domain_cache_is_keyed_by_version(self, tmp_path, monkeypatch):
         spec = parse_config(write_config(tmp_path))

@@ -77,8 +77,10 @@ class TestRunGala:
 
     def test_zero_lr_single_round_keeps_model(self):
         sources, target = small_suite()
-        cfg = small_cfg(rounds=1, lr0=0.0, weight_decay=0.0)
-        result = run_gala(cfg, sources, target)
+        cfg = small_cfg(rounds=1, weight_decay=0.0)
+        # a config's lr0 must be positive, so the zero rate comes from the schedule
+        with mock.patch.object(federation, "lr_schedule", lambda lr0, t, gamma: 0.0):
+            result = run_gala(cfg, sources, target)
         g0, f0 = _init_model(cfg, 4, 3)
         assert np.abs(result.extractor.params.values - g0.params.values).max() <= 1e-12
         assert np.abs(result.classifier.params.values - f0.params.values).max() <= 1e-12
@@ -616,7 +618,7 @@ class TestRoundEngine:
             expected |= {"compute_centroids", "similarity_score", "mdmgb_plus"}
         if protocol == "gala":
             expected.add("group_normalize")
-        stage_loss = {"gala": "igd_loss", "fact_idd": "igd_loss", "full_pairwise": "all_pairs_loss"}
+        stage_loss = {"gala": "igd_loss", "fact_idd": "idd_loss", "full_pairwise": "all_pairs_loss"}
         if protocol in stage_loss:  # the target stage's batch loss
             expected.add(stage_loss[protocol])
         assert reached == expected
