@@ -6,7 +6,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric abort or a worker
 process lost mid-round (or, for `run`, any failed run of the sweep: a run
-whose source worker or sweep pool worker dies fails like a numeric abort),
+whose source worker or sweep worker dies fails like a numeric abort),
 4 I/O error.
 """
 

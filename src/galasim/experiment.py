@@ -18,9 +18,9 @@ import itertools
 import logging
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,7 +38,7 @@ from .domains import (
     save_dataset,
 )
 from .errors import ConfigError, DataError, GalaError, ParseError, WorkerError
-from .federation import ProtocolConfig, RoundRecord, run_protocol
+from .federation import ProtocolConfig, RoundRecord, _may_fork, _Worker, run_protocol
 
 log = logging.getLogger(__name__)
 
@@ -397,14 +397,13 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     CSV and is counted in its configuration's num_failed in summary.csv; the
     other runs and the summary are still written.
 
-    With `parallel` > 1 the pending runs go to a pool of min(parallel,
-    pending) worker processes. Each worker is started with the runner and
-    the whole job list, and is then sent job indices only: under `fork` the
-    workers inherit the domains, so none is pickled; under `spawn` or
-    `forkserver` the suite is pickled once per worker. A worker that dies
-    breaks the pool; the runs still pending run again in fresh pools, so
-    only the run whose worker died fails, with a `WorkerError` (see
-    `_pool_results`), the summary is still written and the call returns 3.
+    With `parallel` > 1 the pending runs go to min(parallel, pending) forked
+    worker processes (`_forked_results`), which inherit the domains and are
+    sent job indices only. A worker that dies fails only the run it was
+    serving, with a `WorkerError`; a fresh fork takes the next run, the
+    summary is still written and the call returns 3. Where `fork` is
+    unavailable or other threads run, the runs go one by one in this
+    process. Failed runs are printed in job order.
     `parallel` < 1, a domain value its generator or a transform rejects, or
     built domains that disagree on feature dim or class count raise
     `ConfigError` before any run starts.
@@ -446,21 +445,22 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
              len(run_index) - len(jobs))
 
     failures = []
+    if parallel > 1 and len(jobs) > 1 and _may_fork():
+        results = _forked_results(jobs, min(parallel, len(jobs)))
+    else:
+        results = ((k, _execute_run(*job)) for k, job in enumerate(jobs))
     try:
-        if parallel > 1 and len(jobs) > 1:
-            results = _pool_results(jobs, min(parallel, len(jobs)))
-        else:
-            results = (_execute_run(*job) for job in jobs)
-        for k, (path, error) in enumerate(results, 1):
-            log.info("run %d/%d %s: %s", k, len(jobs), "aborted" if error else "done",
-                     Path(path).name)
-            if error:
-                failures.append((path, error))
+        with closing(results):  # an error here, Ctrl-C too, reaps the workers
+            for done, (k, (path, error)) in enumerate(results, 1):
+                log.info("run %d/%d %s: %s", done, len(jobs), "aborted" if error else "done",
+                         Path(path).name)
+                if error:
+                    failures.append((k, path, error))
         _write_summary(out_dir / "summary.csv", run_index)
     except OSError as exc:
         print(f"I/O error: {exc}")
         return 4
-    for path, error in failures:
+    for _, path, error in sorted(failures):
         print(f"run {path}: aborted: {error}")
     return 3 if failures else 0
 
@@ -469,60 +469,51 @@ def _execute_run_star(job):
     return _execute_run(*job)
 
 
-_worker_state = None  # (runner, jobs) in a sweep pool worker; see _init_worker
+@dataclass
+class _Runs:
+    """A sweep's jobs, served by a forked worker: `run(k)` runs jobs[k]
+    through this module's `_execute_run_star` as the worker inherited it."""
+
+    jobs: list
+
+    def run(self, k: int):
+        return _execute_run_star(self.jobs[k])
 
 
-def _init_worker(runner, jobs) -> None:
-    """Pool initializer: the worker keeps the runner and the job list for its
-    life, so a job is sent as its index."""
-    global _worker_state
-    _worker_state = (runner, jobs)
+def _forked_results(jobs: list, workers: int):
+    """Yield (k, jobs[k]'s (path, error)) for every job, in the order they
+    finish, from `workers` forked workers each serving one job at a time.
 
+    A worker that dies fails only its job, with a WorkerError, and a fresh
+    fork takes the next; any other error a job raises is raised here.
+    Workers are reaped on every exit path."""
+    runs, todo = _Runs(jobs), iter(range(len(jobs)))
+    forked, busy = [], {}  # every worker; a busy one's pipe -> (worker, its job index)
 
-def _run_job(k: int):
-    runner, jobs = _worker_state
-    return runner(jobs[k])
+    def start(worker, k):
+        if worker is None:
+            worker = _Worker(runs, [w.conn for w in forked], "this run")
+            forked.append(worker)
+        worker.submit("run", k)
+        busy[worker.conn] = (worker, k)
 
-
-def _pool_results(jobs: list, workers: int):
-    """Yield each job's (path, error) from pools of at most `workers`
-    processes started with `_execute_run_star` as the parent reads it now.
-
-    A worker that dies breaks its pool. The jobs not yet yielded whose CSV
-    does not exist then run in a fresh pool; after a second break each runs
-    in a one-worker pool of its own, so a job that kills its worker fails
-    alone, with a WorkerError. That is at most 2 + pending pools; results
-    come in job order unless a pool breaks."""
-    left = yield from _one_pool(jobs, range(len(jobs)), workers)
-    if left:
-        left = yield from _one_pool(jobs, left, workers)
-    for k in left:
-        lost = yield from _one_pool(jobs, [k], 1)
-        if lost:
-            error = WorkerError("its sweep worker process died")
-            yield jobs[k][3], f"{type(error).__name__}: {error}"
-
-
-def _one_pool(jobs: list, indices, workers: int):
-    """Yield the results of jobs[k], k in indices, from one pool; if a worker
-    dies, yield those whose CSV was written and return the others' indices."""
-    done = 0
     try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(indices)),
-                                 initializer=_init_worker,
-                                 initargs=(_execute_run_star, jobs)) as pool:
-            for result in pool.map(_run_job, indices):
-                done += 1
-                yield result
-    except BrokenProcessPool:
-        left = []
-        for k in indices[done:]:
-            if Path(jobs[k][3]).exists():
-                yield jobs[k][3], None
-            else:
-                left.append(k)
-        return left
-    return []
+        for k in itertools.islice(todo, workers):
+            start(None, k)
+        while busy:
+            for conn in wait(list(busy)):
+                worker, k = busy.pop(conn)
+                try:
+                    result = worker.result()
+                except WorkerError as exc:  # the next job goes to a fresh fork
+                    worker, result = None, (jobs[k][3], f"{type(exc).__name__}: {exc}")
+                yield k, result
+                k = next(todo, None)
+                if k is not None:
+                    start(worker, k)
+    finally:
+        for worker in forked:
+            worker.close()
 
 
 def _final_accuracy_from_csv(path: Path) -> float:

@@ -26,7 +26,7 @@ split into contiguous blocks, the caller's process serves the first, and one
 forked worker per further block serves the rest; for the run, each process is
 pinned to its own share of the usable CPUs (the caller's affinity is restored
 afterwards). The process count is derived, not configured. It is 1 inside a
-`multiprocessing` child (a sweep's pool worker), where `fork` is unavailable,
+`multiprocessing` child (a sweep's worker), where `fork` is unavailable,
 in a process running other threads (fork would copy locks they hold), or
 when none of the BLAS thread variables (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS, MKL_NUM_THREADS) is set, since an unpinned BLAS would
@@ -34,7 +34,8 @@ oversubscribe the cores. Otherwise it is the usable CPUs divided by the
 largest of those thread counts, at most the number of sources; if a worker
 cannot be forked, the run uses one process. A source's results depend only on
 the broadcast model and that source's own seeds, never on its block or
-process, so records are byte-identical for every process count.
+process, so records are byte-identical for every process count. The same
+forked pipe worker, `_Worker`, serves the runs of a `--parallel` sweep.
 """
 
 from __future__ import annotations
@@ -137,15 +138,12 @@ class ProtocolConfig:
                 ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
                 ("eval_fraction", 0.0 < self.eval_fraction < 1.0, "in (0, 1)"),
                 ("mixup_alpha", self.mixup_alpha is None or 0.0 < self.mixup_alpha < math.inf,
-                 "finite and > 0 when set")):
+                 "finite and > 0 when set"),
+                ("seed", self.seed >= 0, ">= 0"), ("rounds", self.rounds >= 1, ">= 1"),
+                ("local_epochs", self.local_epochs >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if self.local_epochs < 1:
-            raise ConfigError("local_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if any(width < 1 for width in self.hidden_dims) or self.feature_dim < 1:
             raise ConfigError(f"hidden_dims and feature_dim must be >= 1, got "
                               f"{self.hidden_dims} and {self.feature_dim}")
@@ -295,18 +293,20 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
 # per-client work of a round; gala's and full_pairwise's also in forked workers
 
 
+def _may_fork() -> bool:
+    """Whether this process may fork a worker: `fork` is available and no
+    other thread runs (fork copies one thread, not the locks' owners)."""
+    return "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+
+
 def _source_processes() -> int:
     """Processes a gala round's per-source work may use (module docstring).
 
     With BLAS threads unpinned, 2 processes x 2 OpenBLAS threads on 2 cores
     ran 6-20x slower than one process (bench/NOTES.md), so an unset thread
     count means one process."""
-    if multiprocessing.parent_process() is not None:
-        return 1
-    if "fork" not in multiprocessing.get_all_start_methods() \
+    if multiprocessing.parent_process() is not None or not _may_fork() \
             or not hasattr(os, "sched_setaffinity"):
-        return 1
-    if threading.active_count() > 1:  # fork copies one thread, not the locks' owners
         return 1
     values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
     try:
@@ -376,21 +376,22 @@ class _SourceBlock:
         return heads
 
 
-def _serve_block(conn, block: _SourceBlock, inherited, cpus: set[int]) -> None:
-    """Worker loop on `cpus`: answer each (phase, args) request with
-    `getattr(block, phase)(*args)`, the call and result objects of the
-    caller's own block, until the parent closes its end of the pipe."""
+def _serve(conn, served, inherited, cpus: Optional[set[int]]) -> None:
+    """Worker loop, on `cpus` if given: answer each (method, args) request
+    with `getattr(served, method)(*args)` until the parent closes its end of
+    the pipe. `served` is the object the parent held at the fork."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    os.sched_setaffinity(0, cpus)
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
     for other in inherited:  # parent ends of the pipes, so EOF reaches us
         other.close()
     while True:
         try:
-            phase, args = conn.recv()
+            method, args = conn.recv()
         except EOFError:
             return
         try:
-            reply = ("ok", getattr(block, phase)(*args))
+            reply = ("ok", getattr(served, method)(*args))
         except Exception as exc:  # re-raised by the parent, type and fields kept
             try:
                 pickle.loads(pickle.dumps(exc))
@@ -400,35 +401,35 @@ def _serve_block(conn, block: _SourceBlock, inherited, cpus: set[int]) -> None:
         conn.send(reply)
 
 
-class _BlockWorker:
-    """A forked process serving one _SourceBlock; `open_pipes` are the parent
-    ends of earlier workers' pipes, which the child closes."""
+class _Worker:
+    """A forked process serving method calls on `served` (a _SourceBlock, or
+    a sweep's runs); `open_pipes` are the parent ends of other workers'
+    pipes, which the child closes, and `what` names its work in a
+    WorkerError."""
 
-    def __init__(self, block: _SourceBlock, open_pipes: list, cpus: set[int]):
+    def __init__(self, served, open_pipes: list, what: str, cpus: Optional[set[int]] = None):
         ctx = multiprocessing.get_context("fork")
-        self.indices = block.indices
+        self.what = what
         self.conn, child = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_serve_block, daemon=True,
-            args=(child, block, [*open_pipes, self.conn], cpus))
+        self.process = ctx.Process(target=_serve, daemon=True,
+                                   args=(child, served, [*open_pipes, self.conn], cpus))
         self.process.start()
         child.close()  # else a dead worker's end stays open here and recv hangs
 
-    def submit(self, phase: str, *args) -> None:
+    def submit(self, method: str, *args) -> None:
         try:
-            self.conn.send((phase, args))
+            self.conn.send((method, args))
         except OSError:
             pass  # a dead worker is reported by result()
 
-    def result(self, t: int):
-        """The reply to the last request; raises what the block raised."""
+    def result(self, when: str = ""):
+        """The reply to the last request; raises what the call raised (WorkerError if it died)."""
         try:
             kind, payload = self.conn.recv()
         except (EOFError, OSError) as exc:
             self.process.join(timeout=5.0)
-            raise WorkerError(
-                f"worker for sources {self.indices.start}-{self.indices.stop - 1} "
-                f"exited with code {self.process.exitcode} in round {t}") from exc
+            raise WorkerError(f"worker for {self.what} exited with code "
+                              f"{self.process.exitcode}{when}") from exc
         if kind == "error":
             raise payload
         return payload
@@ -542,7 +543,7 @@ def sample_pair(seed: int, round_index: int, n_sources: int) -> tuple[int, int]:
 
 @contextmanager
 def _source_pool(cfg: ProtocolConfig, sources: Sequence[DomainDataset]):
-    """Yields (this process's _SourceBlock, the _BlockWorkers of the further
+    """Yields (this process's _SourceBlock, the _Workers serving the further
     blocks); reaps them and restores this process's affinity on every exit."""
     blocks = [_SourceBlock(cfg, sources, b)
               for b in _source_blocks(len(sources), _source_processes())]
@@ -551,11 +552,12 @@ def _source_pool(cfg: ProtocolConfig, sources: Sequence[DomainDataset]):
         return
     shares = _cpu_shares(len(blocks))
     own_cpus = os.sched_getaffinity(0)
-    workers: list[_BlockWorker] = []
+    workers: list[_Worker] = []
     try:
         try:
             for block, cpus in zip(blocks[1:], shares[1:]):
-                workers.append(_BlockWorker(block, [w.conn for w in workers], cpus))
+                what = f"sources {block.indices.start}-{block.indices.stop - 1}"
+                workers.append(_Worker(block, [w.conn for w in workers], what, cpus))
         except OSError:  # no process to spare: this one serves every source
             while workers:
                 workers.pop().close()
@@ -654,7 +656,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
             if pooled and cfg.weighting != "uniform":
                 target_cent = compute_centroids(extractor, classifier, target_view)
             for worker in workers:
-                cents, block_trained, block_losses = worker.result(t)
+                cents, block_trained, block_losses = worker.result(f" in round {t}")
                 centroids += cents
                 trained += block_trained
                 losses += block_losses
@@ -683,7 +685,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                     worker.submit("finetune", t, lr, aggregated)
                 heads = finetuned = local.finetune(t, lr, aggregated)
                 for worker in workers:
-                    heads += worker.result(t)
+                    heads += worker.result(f" in round {t}")
 
             # the target stage's batch loss
             if protocol == "gala":

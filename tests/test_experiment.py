@@ -1,8 +1,9 @@
 """Config parsing, metrics CSV schema, and experiment runner tests."""
 
+import contextlib
 import csv
 import dataclasses
-import functools
+import io
 import logging
 import multiprocessing
 import os
@@ -11,7 +12,10 @@ import string
 import subprocess
 import sys
 import tempfile
+import time
+from multiprocessing.connection import wait
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,6 +132,8 @@ BAD_VALUES = {
     "repeated_sweep_value": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, 3"),
     "repeated_after_typing": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, 3.0"),
     "invalid_sweep_configuration": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, -1"),
+    "negative_seed": ("[protocol]", "seed = 3", "seed = -1"),
+    "most_negative_seed": ("[protocol]", "seed = 3", "seed = -9223372036854775808"),
 }
 
 # protocol values outside their ranges, each in [protocol] and as a [sweep]
@@ -292,7 +298,7 @@ valid_protocols = st.builds(
     rounds=st.integers(1, 10**9), local_epochs=st.integers(1, 10**9),
     batch_size=st.integers(1, 10**9), lr0=_positive,
     gamma=st.floats(0.0, 1.0, exclude_min=True), momentum=st.floats(0.0, 1.0, exclude_max=True),
-    weight_decay=st.floats(min_value=0.0, allow_infinity=False), seed=st.integers(-2**63, 2**63),
+    weight_decay=st.floats(min_value=0.0, allow_infinity=False), seed=st.integers(0, 2**63),
     mixup_alpha=st.none() | _positive,
     hidden_dims=st.lists(st.integers(1, 4096), max_size=3).map(tuple),
     feature_dim=st.integers(1, 4096),
@@ -466,7 +472,7 @@ class TestCsvFloats:
 
 
 def _dying_star(job):
-    """Stands in for experiment._execute_run_star: the pool worker running
+    """Stands in for experiment._execute_run_star: the sweep worker running
     the tau=2.0, seed 3 job exits without a word."""
     cfg = job[0]
     if cfg.tau == 2.0 and cfg.seed == 3:
@@ -482,6 +488,39 @@ def _marking_star(job):
     markers.mkdir(exist_ok=True)
     (markers / path.name).touch()
     return experiment._execute_run(*job)
+
+
+def _failing_out_of_order_star(job):
+    """Stands in for experiment._execute_run_star: the seed-3 runs fail, the
+    tau=0.5 one (job 0) only once the tau=2.0 one (job 2) has failed, so at
+    parallel=2 they finish out of job order."""
+    cfg, path = job[0], Path(job[3])
+    marker = path.parent.parent / "tau2_failed"
+    if cfg.seed != 3:
+        return experiment._execute_run(*job)
+    if cfg.tau == 2.0:
+        marker.touch()
+    else:
+        deadline = time.monotonic() + 60
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+    return str(path), "ValueError: planted"
+
+
+_CSV_WRITER = csv.writer
+
+
+class FailingAfterHeader:
+    """Stands in for csv.writer: writes the header row, then raises OSError."""
+
+    def __init__(self, fh, **kwargs):
+        self.inner, self.rows = _CSV_WRITER(fh, **kwargs), 0
+
+    def writerow(self, row):
+        if self.rows == 1:
+            raise OSError("disk full")
+        self.rows += 1
+        self.inner.writerow(row)
 
 
 def run_csvs(out):
@@ -520,6 +559,12 @@ class TestRunExperiment:
         assert f"configuration error: {path}: {section}" in err and "Traceback" not in err
         assert new.splitlines()[-1].partition("=")[0].strip() in err  # the key at fault
         assert not run_csvs(tmp_path / "out")
+
+    def test_negative_seed_on_the_command_line_exits_2_before_any_run(self, tmp_path, capfd):
+        assert cli.main(["run", str(write_config(tmp_path)), "--seed", "-2"]) == 2
+        err = capfd.readouterr().err
+        assert "configuration error: [protocol]: seed must be >= 0, got -2" in err
+        assert "Traceback" not in err and not run_csvs(tmp_path / "out")
 
     @pytest.mark.parametrize("change", [dict(hidden_dims=(8, 0)), dict(hidden_dims=(-3,)),
                                         dict(feature_dim=0)], ids=["zero", "negative", "feature"])
@@ -700,7 +745,7 @@ class TestRunExperiment:
         out = capsys.readouterr().out
         runs = tmp_path / "out" / "runs"
         done = sorted(p.name for p in runs.glob("*.csv"))
-        # the healthy runs finish in fresh pools; only the dying one is lost
+        # the healthy runs finish, the next on a fresh fork; only the dying one is lost
         assert len(done) == 3 and not any("__tau=2.0__s0__" in name for name in done)
         lost = [line for line in out.splitlines() if "aborted: WorkerError: " in line]
         assert len(lost) == 1 and "__tau=2.0__s0__" in lost[0]
@@ -732,21 +777,19 @@ class TestRunExperiment:
         before = run_csvs(tmp_path / "out")
         for name in sorted(before)[:2]:
             (tmp_path / "out" / "runs" / name).unlink()
-        sizes = []
-        real = experiment.ProcessPoolExecutor
+        forked = []
+        real = experiment._Worker
 
-        def recording(max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers, **kwargs)
+        def forking(*args, **kwargs):
+            forked.append(real(*args, **kwargs))
+            return forked[-1]
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(experiment, "_Worker", forking)
         assert run_experiment(spec, parallel=8) == 0
-        assert sizes == [2]
+        assert len(forked) == 2
         assert run_csvs(tmp_path / "out") == before
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pool_pickles_the_suite_at_most_once_per_worker(self, tmp_path, monkeypatch,
-                                                             start_method):
+    def test_pool_pickles_the_suite_at_most_once_per_worker(self, tmp_path, monkeypatch):
         pickled = []
 
         def reduce_ex(self, protocol):
@@ -754,15 +797,10 @@ class TestRunExperiment:
             return object.__reduce_ex__(self, protocol)
 
         monkeypatch.setattr(DomainDataset, "__reduce_ex__", reduce_ex)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", functools.partial(
-            experiment.ProcessPoolExecutor,
-            mp_context=multiprocessing.get_context(start_method)))
         spec = parse_config(write_config(tmp_path))
         assert run_experiment(spec, parallel=2) == 0  # 4 jobs on 2 workers
         assert len(run_csvs(tmp_path / "out")) == 4
-        assert len(pickled) <= 2 * len(spec.domains)
-        if start_method == "fork":
-            assert pickled == []  # the workers inherit the domains
+        assert pickled == []  # the workers inherit the domains
 
     def test_runner_patched_before_the_call_runs_every_pool_job(self, tmp_path,
                                                                  monkeypatch):
@@ -773,6 +811,91 @@ class TestRunExperiment:
         markers = sorted(p.name for p in (tmp_path / "out" / "markers").iterdir())
         assert len(markers) == 4
         assert markers == sorted(run_csvs(tmp_path / "out"))
+
+    def test_failures_are_printed_in_job_order(self, tmp_path, monkeypatch, capsys, caplog):
+        monkeypatch.setattr(experiment, "_execute_run_star", _failing_out_of_order_star)
+        spec = parse_config(write_config(tmp_path))
+        with caplog.at_level(logging.INFO, logger="galasim.experiment"):
+            assert run_experiment(spec, parallel=2) == 3
+        finished = [r.getMessage() for r in caplog.records if " aborted: " in r.getMessage()]
+        assert [line.split("__")[1] for line in finished] == ["tau=2.0", "tau=0.5"]
+        printed = [line for line in capsys.readouterr().out.splitlines() if "aborted" in line]
+        assert [line.split("__")[1] for line in printed] == ["tau=0.5", "tau=2.0"]
+        assert all(line.endswith("aborted: ValueError: planted") for line in printed)
+        assert len(run_csvs(tmp_path / "out")) == 2
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_run_csv_write_failing_gives_exit_4_and_no_outputs(self, tmp_path, monkeypatch,
+                                                              capsys, parallel):
+        monkeypatch.setattr(csv, "writer", FailingAfterHeader)
+        spec = parse_config(write_config(tmp_path))
+        assert run_experiment(spec, parallel=parallel) == 4
+        assert "I/O error: cannot write metrics to " in capsys.readouterr().out
+        assert not run_csvs(tmp_path / "out")
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @settings(max_examples=6, deadline=None)
+    @given(k=st.integers(0, 3))
+    def test_a_dead_worker_fails_only_its_run_and_a_rerun_completes(self, k):
+        # the worker running job k dies; each of the 4 jobs has its own CSV name
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config = str(write_config(tmp))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", config, "--out", str(tmp / "serial")]) == 0
+            want = run_csvs(tmp / "serial")
+            doomed = sorted(want)[k]  # job order is grid order, and so name order
+
+            def dying(job):
+                if Path(job[3]).name == doomed:
+                    os._exit(1)
+                return experiment._execute_run(*job)
+
+            out = io.StringIO()
+            with mock.patch.object(experiment, "_execute_run_star", dying), \
+                    contextlib.redirect_stdout(out):
+                assert cli.main(["run", config, "--parallel", "2"]) == 3
+            lost = [line for line in out.getvalue().splitlines() if "aborted" in line]
+            assert len(lost) == 1 and doomed in lost[0] and "aborted: WorkerError: " in lost[0]
+            assert run_csvs(tmp / "out") == {n: b for n, b in want.items() if n != doomed}
+            assert not list((tmp / "out").rglob("*.tmp"))
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", config, "--parallel", "2"]) == 0
+            assert run_csvs(tmp / "out") == want
+            assert (tmp / "out" / "summary.csv").read_bytes() == \
+                (tmp / "serial" / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("where", ["waiting", "logging progress"])
+    def test_interrupt_mid_sweep_reaps_the_workers(self, tmp_path, monkeypatch, where):
+        spec = parse_config(write_config(tmp_path))
+        spec.output_dir = str(tmp_path / "serial")
+        assert run_experiment(spec) == 0
+        spec.output_dir = str(tmp_path / "out")
+        waits = []
+
+        def interrupted_wait(conns):
+            waits.append(conns)
+            if len(waits) == 2:
+                raise KeyboardInterrupt
+            return wait(conns)
+
+        class InterruptingLog:
+            def info(self, message, *args):
+                if message.startswith("run "):
+                    raise KeyboardInterrupt
+
+        if where == "waiting":
+            monkeypatch.setattr(experiment, "wait", interrupted_wait)
+        else:
+            monkeypatch.setattr(experiment, "log", InterruptingLog())
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_experiment(spec, parallel=2)
+        # reaped on the way out, not when the traceback held in `info` is freed
+        assert info.traceback and multiprocessing.active_children() == []
+        monkeypatch.undo()
+        assert run_experiment(spec, parallel=2) == 0
+        assert run_csvs(tmp_path / "out") == run_csvs(tmp_path / "serial")
 
     def test_progress_is_logged_at_info_and_leaves_outputs_unchanged(self, tmp_path,
                                                                       caplog, capsys):
@@ -808,18 +931,6 @@ class TestRunExperiment:
         assert run_experiment(spec) == 0
         summary = tmp_path / "out" / "summary.csv"
         before = summary.read_bytes()
-        real_writer = csv.writer
-
-        class FailingAfterHeader:
-            def __init__(self, fh, **kwargs):
-                self.inner, self.rows = real_writer(fh, **kwargs), 0
-
-            def writerow(self, row):
-                if self.rows == 1:
-                    raise OSError("disk full")
-                self.rows += 1
-                self.inner.writerow(row)
-
         monkeypatch.setattr(csv, "writer", FailingAfterHeader)
         assert run_experiment(parse_config(write_config(tmp_path))) == 4
         assert summary.read_bytes() == before
@@ -832,18 +943,6 @@ class TestRunExperiment:
         assert cli.main(["simmatrix", config]) == 0
         matrix = tmp_path / "out" / "simmatrix.csv"
         before = matrix.read_bytes()
-        real_writer = csv.writer
-
-        class FailingAfterHeader:
-            def __init__(self, fh, **kwargs):
-                self.inner, self.rows = real_writer(fh, **kwargs), 0
-
-            def writerow(self, row):
-                if self.rows == 1:
-                    raise OSError("disk full")
-                self.rows += 1
-                self.inner.writerow(row)
-
         monkeypatch.setattr(csv, "writer", FailingAfterHeader)
         assert cli.main(["simmatrix", config]) == 4
         assert "disk full" in capsys.readouterr().err

@@ -409,8 +409,8 @@ class TestSourceProcesses:
         own_cpus = os.sched_getaffinity(0)
         expected = {"hook raises": RuntimeError, "interrupt": KeyboardInterrupt,
                     "error here": NumericError, "error in worker": NumericError}
-        with processes(3), mock.patch.object(federation, "_BlockWorker",
-                                             recording(federation._BlockWorker, seen)), \
+        with processes(3), mock.patch.object(federation, "_Worker",
+                                             recording(federation._Worker, seen)), \
                 np.errstate(all="ignore"):
             cfg = small_cfg(rounds=2, batch_size=16, seed=2)
             if exit_path == "return":
@@ -426,7 +426,7 @@ class TestSourceProcesses:
 
 
 def recording(worker_type, seen):
-    """A _BlockWorker factory that appends each worker's process to `seen`."""
+    """A _Worker factory that appends each worker's process to `seen`."""
     def make(*args, **kwargs):
         worker = worker_type(*args, **kwargs)
         seen.append(worker.process)
