@@ -4,6 +4,12 @@
     galasim simmatrix <config> [--out DIR]
     galasim gradcheck [--trials N] [--epsilon E] [--seed N]
 
+`run --parallel K` forks at most min(K, pending runs, process budget)
+workers. The budget is the one that sizes a round's source processes: usable
+CPUs // the BLAS thread count that OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS pins, and 1 with none set, so an unpinned BLAS runs the sweep
+serially, with a warning; set OPENBLAS_NUM_THREADS=1 to run in parallel.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric abort or a worker
 process lost mid-round (or, for `run`, any failed run of the sweep: a run
 whose source worker or sweep worker dies fails like a numeric abort),
@@ -22,7 +28,8 @@ import numpy as np
 
 from .discrepancy import GroupClassifier, away_from_kinks, igd_loss, random_partition
 from .errors import ConfigError, GalaError, NumericError, ParseError, WorkerError
-from .experiment import _atomic_write, build_domains, parse_config, run_experiment
+from .experiment import (_atomic_write, _remove_stale_temp_files, build_domains, parse_config,
+                         run_experiment)
 from .federation import similarity_matrix
 from .nn import (
     Classifier,
@@ -46,6 +53,7 @@ def _cmd_simmatrix(args) -> int:
     spec = parse_config(args.config)
     if args.out is not None:
         spec.output_dir = args.out
+    _remove_stale_temp_files(Path(spec.output_dir))
     domains = build_domains(spec, cache_dir=Path(spec.output_dir) / "cache")
     names = [e.name for e in spec.domains]
     matrix = similarity_matrix([domains[n] for n in names], spec.protocol)
@@ -82,6 +90,12 @@ def _random_model(rng):
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if not 1e-7 < args.epsilon < 1e-3:  # nan fails too
+        raise ConfigError(f"--epsilon must lie in (1e-7, 1e-3), got {args.epsilon}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst_ce, worst_igd = 0.0, 0.0
     trial = 0
@@ -127,7 +141,9 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="override the base seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
-    p_run.add_argument("--parallel", type=int, default=1, help="concurrent runs, at least 1")
+    p_run.add_argument("--parallel", type=int, default=1,
+                       help="most concurrent runs, at least 1; more than 1 needs a BLAS thread "
+                            "variable set, e.g. OPENBLAS_NUM_THREADS=1")
     p_run.set_defaults(func=_cmd_run)
 
     p_sim = sub.add_parser("simmatrix", help="cross-domain accuracy matrix for a suite")

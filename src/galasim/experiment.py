@@ -38,7 +38,7 @@ from .domains import (
     save_dataset,
 )
 from .errors import ConfigError, DataError, GalaError, ParseError, WorkerError
-from .federation import ProtocolConfig, RoundRecord, _may_fork, _Worker, run_protocol
+from .federation import ProtocolConfig, RoundRecord, _processes, _Worker, run_protocol
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +93,9 @@ class ExperimentSpec:
     def validate(self) -> None:
         """Check the suite, the protocol and every configuration of the sweep
         grid; a message starts with the config section at fault."""
+        if Path(self.name).name != self.name:  # it starts each run CSV's file name
+            raise ConfigError(f"[experiment]: name must not contain a path separator, "
+                              f"got {self.name!r}")
         names = [d.name for d in self.domains]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate domain names in suite")
@@ -347,7 +350,7 @@ def _atomic_write(path: Path, write) -> None:
 
 def _remove_stale_temp_files(out_dir: Path) -> None:
     """Delete the temp files of `_atomic_write` calls whose process died mid-write."""
-    for pattern in ("runs/*.tmp", "cache/*.tmp", "summary.csv.*.tmp"):
+    for pattern in ("runs/*.tmp", "cache/*.tmp", "summary.csv.*.tmp", "simmatrix.csv.*.tmp"):
         for tmp in out_dir.glob(pattern):
             try:
                 os.kill(int(tmp.name.rsplit(".", 2)[-2]), 0)  # signal 0: is it running?
@@ -397,13 +400,17 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     CSV and is counted in its configuration's num_failed in summary.csv; the
     other runs and the summary are still written.
 
-    With `parallel` > 1 the pending runs go to min(parallel, pending) forked
-    worker processes (`_forked_results`), which inherit the domains and are
-    sent job indices only. A worker that dies fails only the run it was
-    serving, with a `WorkerError`; a fresh fork takes the next run, the
-    summary is still written and the call returns 3. Where `fork` is
-    unavailable or other threads run, the runs go one by one in this
-    process. Failed runs are printed in job order.
+    `parallel` is an upper bound: the pending runs go to
+    min(parallel, pending, `federation._processes()`) forked worker processes
+    (`_forked_results`), which inherit the domains and are sent job indices
+    only; with one, they go one by one in this process. Either way each run
+    goes through this module's `_execute_run_star`. That process budget
+    is 1 unless a BLAS thread variable pins the threads (OPENBLAS_NUM_THREADS=1
+    gives one worker per usable CPU), and whenever it lowers the count one
+    warning goes to the `galasim.experiment` logger. A worker that dies fails
+    only the run it was serving, with a `WorkerError`; a fresh fork takes the
+    next run, the summary is still written and the call returns 3. Failed
+    runs are printed in job order.
     `parallel` < 1, a domain value its generator or a transform rejects, or
     built domains that disagree on feature dim or class count raise
     `ConfigError` before any run starts.
@@ -445,10 +452,12 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
              len(run_index) - len(jobs))
 
     failures = []
-    if parallel > 1 and len(jobs) > 1 and _may_fork():
-        results = _forked_results(jobs, min(parallel, len(jobs)))
-    else:
-        results = ((k, _execute_run(*job)) for k, job in enumerate(jobs))
+    workers = min(parallel, len(jobs), _processes())
+    if workers < min(parallel, len(jobs)):
+        log.warning("--parallel %d lowered to %d by the process budget; set "
+                    "OPENBLAS_NUM_THREADS=1 to run in parallel", parallel, workers)
+    results = _forked_results(jobs, workers) if workers > 1 else \
+        ((k, _execute_run_star(job)) for k, job in enumerate(jobs))
     try:
         with closing(results):  # an error here, Ctrl-C too, reaps the workers
             for done, (k, (path, error)) in enumerate(results, 1):

@@ -25,13 +25,15 @@ frozen fine-tune) runs on several processes when that can help: the sources
 split into contiguous blocks, the caller's process serves the first, and one
 forked worker per further block serves the rest; for the run, each process is
 pinned to its own share of the usable CPUs (the caller's affinity is restored
-afterwards). The process count is derived, not configured. It is 1 inside a
-`multiprocessing` child (a sweep's worker), where `fork` is unavailable,
-in a process running other threads (fork would copy locks they hold), or
-when none of the BLAS thread variables (OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS, MKL_NUM_THREADS) is set, since an unpinned BLAS would
-oversubscribe the cores. Otherwise it is the usable CPUs divided by the
-largest of those thread counts, at most the number of sources; if a worker
+afterwards). The process count is derived, not configured: one budget,
+`_processes`, decides every fork, here and in a `--parallel` sweep. It is 1
+inside a `multiprocessing` child (a sweep's worker), where `fork` is
+unavailable, in a process running other threads (fork would copy locks they
+hold), or when none of the BLAS thread variables (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS, MKL_NUM_THREADS) holds a positive int, since an unpinned BLAS
+would oversubscribe the cores. Otherwise it is the usable CPUs divided by the
+largest of those thread counts; a round uses at most one process per source,
+and none besides its own where `os.sched_setaffinity` is missing. If a worker
 cannot be forked, the run uses one process. A source's results depend only on
 the broadcast model and that source's own seeds, never on its block or
 process, so records are byte-identical for every process count. The same
@@ -99,7 +101,7 @@ MACS_PER_MS = 1.0e6
 # 144 MB, so those train one at a time.
 STACK_BYTES = 80 * 1024
 
-# BLAS thread variables; the source processes need the thread count pinned
+# BLAS thread variables; the process budget (`_processes`) needs one pinned
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -136,7 +138,8 @@ class ProtocolConfig:
                 ("gamma", 0.0 < self.gamma <= 1.0, "in (0, 1]"),
                 ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
                 ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
-                ("eval_fraction", 0.0 < self.eval_fraction < 1.0, "in (0, 1)"),
+                ("eval_fraction", 0.0 < 1.0 - self.eval_fraction < 1.0,  # the split's share
+                 "in (0, 1) with 1 - eval_fraction < 1"),
                 ("mixup_alpha", self.mixup_alpha is None or 0.0 < self.mixup_alpha < math.inf,
                  "finite and > 0 when set"),
                 ("seed", self.seed >= 0, ">= 0"), ("rounds", self.rounds >= 1, ">= 1"),
@@ -293,29 +296,21 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
 # per-client work of a round; gala's and full_pairwise's also in forked workers
 
 
-def _may_fork() -> bool:
-    """Whether this process may fork a worker: `fork` is available and no
-    other thread runs (fork copies one thread, not the locks' owners)."""
-    return "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
-
-
-def _source_processes() -> int:
-    """Processes a gala round's per-source work may use (module docstring).
-
-    With BLAS threads unpinned, 2 processes x 2 OpenBLAS threads on 2 cores
-    ran 6-20x slower than one process (bench/NOTES.md), so an unset thread
-    count means one process."""
-    if multiprocessing.parent_process() is not None or not _may_fork() \
-            or not hasattr(os, "sched_setaffinity"):
+def _processes() -> int:
+    """How many processes this one may keep computing at once, its forked
+    workers included (module docstring). An unset thread count means 1: with
+    BLAS threads unpinned, 2 processes x 2 OpenBLAS threads on 2 cores ran
+    6-20x slower than one process (bench/NOTES.md)."""
+    if multiprocessing.parent_process() is not None or threading.active_count() > 1 \
+            or "fork" not in multiprocessing.get_all_start_methods():
         return 1
     values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
     try:
         threads = max((int(v) for v in values if v), default=0)
     except ValueError:
         return 1
-    if threads < 1:
-        return 1
-    return max(1, len(os.sched_getaffinity(0)) // threads)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) // threads) if threads >= 1 else 1
 
 
 def _source_blocks(n_sources: int, processes: int) -> list[range]:
@@ -545,8 +540,8 @@ def sample_pair(seed: int, round_index: int, n_sources: int) -> tuple[int, int]:
 def _source_pool(cfg: ProtocolConfig, sources: Sequence[DomainDataset]):
     """Yields (this process's _SourceBlock, the _Workers serving the further
     blocks); reaps them and restores this process's affinity on every exit."""
-    blocks = [_SourceBlock(cfg, sources, b)
-              for b in _source_blocks(len(sources), _source_processes())]
+    processes = _processes() if hasattr(os, "sched_setaffinity") else 1  # it pins
+    blocks = [_SourceBlock(cfg, sources, b) for b in _source_blocks(len(sources), processes)]
     if len(blocks) == 1:
         yield blocks[0], []
         return

@@ -39,6 +39,7 @@ from galasim import (
     save_dataset,
     weighted_mean,
 )
+from galasim import experiment
 from galasim.nn import finite_difference_grad, relative_grad_error
 
 
@@ -384,7 +385,7 @@ def test_09_transform_suite():
                   f"{elapsed:.2f}s < 5s")
 
 
-def test_10_determinism(tmp_path):
+def test_10_determinism(tmp_path, monkeypatch):
     config = """
 [experiment]
 name = determinism
@@ -434,6 +435,8 @@ samples_per_class = 30
 input_dim = 6
 seed = 2
 """
+    # the process budget, set so that run b forks whatever the host's BLAS variables
+    monkeypatch.setattr(experiment, "_processes", lambda: 4)
     outputs = {}
     for run_id, parallel in (("a", 1), ("b", 4)):
         cfg_path = tmp_path / f"exp_{run_id}.ini"

@@ -134,6 +134,9 @@ BAD_VALUES = {
     "invalid_sweep_configuration": ("[sweep]", "tau = 0.5, 2.0", "tau = 3, -1"),
     "negative_seed": ("[protocol]", "seed = 3", "seed = -1"),
     "most_negative_seed": ("[protocol]", "seed = 3", "seed = -9223372036854775808"),
+    "name_with_a_separator": ("[experiment]", "name = demo", "name = sub/demo"),
+    "eval_fraction_below_rounding": ("[protocol]", "lr0 = 0.05",
+                                     "lr0 = 0.05\neval_fraction = 1e-300"),
 }
 
 # protocol values outside their ranges, each in [protocol] and as a [sweep]
@@ -302,7 +305,7 @@ valid_protocols = st.builds(
     mixup_alpha=st.none() | _positive,
     hidden_dims=st.lists(st.integers(1, 4096), max_size=3).map(tuple),
     feature_dim=st.integers(1, 4096),
-    eval_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    eval_fraction=st.floats(2**-53, 1.0, exclude_max=True))  # 1 - eval_fraction < 1
 INT_FIELDS = [f.name for f in dataclasses.fields(ProtocolConfig) if f.type == "int"]
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(ProtocolConfig)
                 if f.type in ("float", "Optional[float]")]
@@ -340,6 +343,122 @@ class TestProtocolSection:
             with pytest.raises(ConfigError) as info:
                 parse_config(path)
         assert str(info.value).startswith(f"{path}: [protocol]: {field} must be ")
+
+
+# A tiny Gaussian suite as {section: {key: value}}: 1 round, 1 seed, 8-wide nets.
+TINY_SUITE = {
+    "experiment": {"name": "tiny", "target": "t0", "num_seeds": "1"},
+    "protocol": {"rounds": "1", "batch_size": "16", "lr0": "0.05", "hidden_dims": "8",
+                 "feature_dim": "4", "seed": "3"},
+    "domain t0": {"generator": "gaussian", "num_classes": "3", "samples_per_class": "8",
+                  "input_dim": "2", "seed": "100"},
+    "domain s0": {"generator": "gaussian", "num_classes": "3", "samples_per_class": "8",
+                  "input_dim": "2", "seed": "0"},
+    "domain s1": {"generator": "gaussian", "num_classes": "3", "samples_per_class": "8",
+                  "input_dim": "2", "seed": "1"},
+}
+
+# values to draw by annotation: valid ones, range edges, negatives, zero, nan,
+# inf, huge values and text. Counts draw no huge value: a huge count is valid
+# and would only make the run slow.
+_FLOAT_VALUES = ["0.5", "1", "0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "abc"]
+_VALUES = {
+    "int": ["1", "2", "8", "0", "-1", "2.5", "nan", "abc", ""],
+    "float": _FLOAT_VALUES,
+    "Optional[float]": ["none", *_FLOAT_VALUES],
+    "bool": ["true", "false", "yes"],
+    "tuple[int, ...]": ["8", "", "4,4", "0", "-1", "4.5"],
+}
+_NAMED_VALUES = {
+    "seed": ["0", "3", "-1", str(2**64), "1.5", "abc"],
+    "rounds": ["1", "2", "0", "-1", "1.5", "abc"],
+    "protocol": [*federation.PROTOCOLS, "bogus"],
+    "weighting": [*federation.WEIGHTINGS, "bogus"],
+    "target": ["t0", "s1", "missing"],
+    "name": ["tiny", "", "a b", "..", "a/b", "/"],
+    "batch_size": ["1", "16", str(2**62), "0", "-1", "2.5", "abc"],
+}
+
+
+def _field_values(fn, skip=()):
+    """{key: values} for each parameter of fn a config section may set."""
+    return {k: _NAMED_VALUES.get(k) or _VALUES[p.annotation]
+            for k, p in experiment._parameters(fn).items()
+            if p.annotation in experiment._READERS and k not in skip}
+
+
+CONFIG_FIELDS = {
+    **{("experiment", k): v
+       for k, v in _field_values(experiment._experiment, skip=("output_dir",)).items()},
+    **{("protocol", k): v for k, v in _field_values(ProtocolConfig).items()},
+    **{("domain s0", k): v for k, v in _field_values(gen_gaussian_domain).items()},
+}
+
+
+@st.composite
+def transform_lines(draw):
+    """One transform of a vector domain, its arguments drawn like fields."""
+    kind = draw(st.sampled_from(["rotate", "mean_shift", "label_noise"]))
+    args = {k: draw(st.sampled_from(v))
+            for k, v in _field_values(experiment.TRANSFORMS[kind]).items()}
+    return f"{kind}({', '.join(f'{k}={v}' for k, v in args.items())})"
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=200, deadline=None)
+    @given(changes=st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), min_size=1, max_size=2,
+                            unique=True)
+           .flatmap(lambda keys: st.fixed_dictionaries(
+               {key: st.sampled_from(CONFIG_FIELDS[key]) for key in keys})),
+           transform=st.none() | transform_lines(), parallel=st.integers(1, 3),
+           seed=st.sampled_from([None, "0", "-1", "7"]))
+    def test_cli_run_ends_in_a_documented_exit_code(self, changes, transform, parallel, seed):
+        """One or two fields of the tiny suite changed, run through `cli.main` in
+        this process; `--parallel` gets the host's process budget."""
+        sections = {name: dict(keys) for name, keys in TINY_SUITE.items()}
+        for (section, key), value in changes.items():
+            sections[section][key] = value
+        if transform is not None:
+            sections["domain s1"]["transforms"] = transform
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            sections["experiment"]["output_dir"] = str(out)
+            config = Path(tmp) / "exp.ini"
+            config.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                                             for k, v in keys.items())
+                                      for name, keys in sections.items()))
+            argv = ["run", str(config), "--parallel", str(parallel)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv + (["--seed", seed] if seed else []))
+            runs = list(out.glob("runs/*.csv"))
+        assert code in (0, 2, 3), (code, stdout.getvalue(), stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        assert code != 2 or not runs
+        # such an abort is a value `validate` could have rejected before any run
+        aborted = [line for line in stdout.getvalue().splitlines()
+                   if ": aborted: ValueError" in line or ": aborted: DataError" in line]
+        assert not aborted, aborted
+
+
+class TestGradcheckCli:
+    def test_a_passing_check_exits_0(self, capsys):
+        assert cli.main(["gradcheck", "--trials", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "0"], "--trials must be >= 1, got 0"),
+        (["--trials", "-1"], "--trials must be >= 1, got -1"),
+        (["--epsilon", "0.1"], "--epsilon must lie in (1e-7, 1e-3), got 0.1"),
+        (["--epsilon", "1e-3"], "--epsilon must lie in (1e-7, 1e-3), got 0.001"),
+        (["--epsilon", "1e-7"], "--epsilon must lie in (1e-7, 1e-3), got 1e-07"),
+        (["--epsilon", "nan"], "--epsilon must lie in (1e-7, 1e-3), got nan"),
+        (["--epsilon=-1e-5"], "--epsilon must lie in (1e-7, 1e-3), got -1e-05"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1")])
+    def test_bad_argument_exits_2_before_the_first_trial(self, capfd, args, message):
+        assert cli.main(["gradcheck", *args]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and err == f"configuration error: {message}\n"
 
 
 class TestEmitMetrics:
@@ -475,7 +594,7 @@ def _dying_star(job):
     """Stands in for experiment._execute_run_star: the sweep worker running
     the tau=2.0, seed 3 job exits without a word."""
     cfg = job[0]
-    if cfg.tau == 2.0 and cfg.seed == 3:
+    if cfg.tau == 2.0 and cfg.seed == 3 and multiprocessing.parent_process():
         os._exit(1)
     return experiment._execute_run(*job)
 
@@ -505,6 +624,12 @@ def _failing_out_of_order_star(job):
         while not marker.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
     return str(path), "ValueError: planted"
+
+
+def budget(monkeypatch, count):
+    """Set the process budget run_experiment forks sweep workers by, whatever
+    the host's CPUs and BLAS thread variables (source processes keep theirs)."""
+    monkeypatch.setattr(experiment, "_processes", lambda: count)
 
 
 _CSV_WRITER = csv.writer
@@ -603,6 +728,21 @@ class TestRunExperiment:
         assert not any(path.exists() for path in dead)
         assert live.read_text() == "partial"
 
+    def test_simmatrix_removes_temp_files_of_dead_writers_and_keeps_live_ones(
+            self, tmp_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait(timeout=60)
+        out = tmp_path / "out"
+        (out / "cache").mkdir(parents=True)
+        dead = [out / f"simmatrix.csv.{child.pid}.tmp", out / "cache" / f"0123.gdsd.{child.pid}.tmp"]
+        live = out / f"simmatrix.csv.{os.getppid()}.tmp"  # a running process that is not this one
+        for path in dead + [live]:
+            path.write_text("partial")
+        assert cli.main(["simmatrix", str(write_config(tmp_path))]) == 0
+        assert not any(path.exists() for path in dead)
+        assert live.read_text() == "partial"
+        assert (out / "simmatrix.csv").exists()
+
     def test_runs_and_summary(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
         assert run_experiment(spec) == 0
@@ -649,7 +789,8 @@ class TestRunExperiment:
             assert abs(mean - np.mean(values)) <= 1e-9
             assert abs(std - np.std(values)) <= 1e-9
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        budget(monkeypatch, 4)
         spec = parse_config(write_config(tmp_path))
         run_experiment(spec, parallel=1)
         serial = {p.name: p.read_bytes()
@@ -692,6 +833,7 @@ class TestRunExperiment:
                                        ValueError("bad value")])
     def test_failing_run_is_recorded_and_the_sweep_finishes(self, tmp_path, monkeypatch,
                                                            capsys, error, parallel):
+        budget(monkeypatch, 2)
         real = experiment.run_protocol
 
         def run_protocol(cfg, sources, target):
@@ -721,7 +863,7 @@ class TestRunExperiment:
                 os._exit(9)
             return real(cfg, *args, **kwargs)
 
-        monkeypatch.setattr(federation, "_source_processes", lambda: 2)
+        monkeypatch.setattr(federation, "_processes", lambda: 2)
         monkeypatch.setattr(federation, "_train_lockstep", dying)
         assert cli.main(["run", str(write_config(tmp_path))]) == 3
         out = capsys.readouterr().out
@@ -739,6 +881,7 @@ class TestRunExperiment:
 
     def test_dead_pool_worker_fails_its_runs_and_the_summary_is_written(
             self, tmp_path, monkeypatch, capsys):
+        budget(monkeypatch, 2)
         monkeypatch.setattr(experiment, "_execute_run_star", _dying_star)
         spec = parse_config(write_config(tmp_path))
         assert run_experiment(spec, parallel=2) == 3
@@ -755,6 +898,7 @@ class TestRunExperiment:
 
     def test_cli_exits_3_without_a_traceback_when_a_pool_worker_dies(
             self, tmp_path, monkeypatch, capfd):
+        budget(monkeypatch, 2)
         monkeypatch.setattr(experiment, "_execute_run_star", _dying_star)
         assert cli.main(["run", str(write_config(tmp_path)), "--parallel", "2"]) == 3
         out, err = capfd.readouterr()
@@ -785,9 +929,44 @@ class TestRunExperiment:
             return forked[-1]
 
         monkeypatch.setattr(experiment, "_Worker", forking)
+        budget(monkeypatch, 8)
         assert run_experiment(spec, parallel=8) == 0
         assert len(forked) == 2
         assert run_csvs(tmp_path / "out") == before
+
+    def test_unpinned_blas_runs_a_parallel_sweep_serially_with_one_warning(
+            self, tmp_path, monkeypatch, caplog):
+        for var in federation._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        spec = parse_config(write_config(tmp_path))
+        spec.output_dir = str(tmp_path / "serial")
+        assert run_experiment(spec, parallel=1) == 0
+        forked = []
+        real = experiment._Worker
+
+        def forking(*args, **kwargs):
+            forked.append(real(*args, **kwargs))
+            return forked[-1]
+
+        monkeypatch.setattr(experiment, "_Worker", forking)
+        spec.output_dir = str(tmp_path / "out")
+        with caplog.at_level(logging.WARNING, logger="galasim.experiment"):
+            assert run_experiment(spec, parallel=2) == 0
+        assert forked == []
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and "OPENBLAS_NUM_THREADS=1" in warnings[0]
+        for name in ("serial", "out"):
+            assert (tmp_path / name / "summary.csv").exists()
+        assert run_csvs(tmp_path / "out") == run_csvs(tmp_path / "serial")
+        assert (tmp_path / "out" / "summary.csv").read_bytes() == \
+            (tmp_path / "serial" / "summary.csv").read_bytes()
+
+        budget(monkeypatch, 2)
+        spec.output_dir = str(tmp_path / "pinned")
+        caplog.clear()
+        assert run_experiment(spec, parallel=2) == 0
+        assert len(forked) == 2 and caplog.records == []
+        assert run_csvs(tmp_path / "pinned") == run_csvs(tmp_path / "serial")
 
     def test_pool_pickles_the_suite_at_most_once_per_worker(self, tmp_path, monkeypatch):
         pickled = []
@@ -797,6 +976,7 @@ class TestRunExperiment:
             return object.__reduce_ex__(self, protocol)
 
         monkeypatch.setattr(DomainDataset, "__reduce_ex__", reduce_ex)
+        budget(monkeypatch, 2)
         spec = parse_config(write_config(tmp_path))
         assert run_experiment(spec, parallel=2) == 0  # 4 jobs on 2 workers
         assert len(run_csvs(tmp_path / "out")) == 4
@@ -804,15 +984,20 @@ class TestRunExperiment:
 
     def test_runner_patched_before_the_call_runs_every_pool_job(self, tmp_path,
                                                                  monkeypatch):
-        # the benchmark swaps in its own runner this way (bench/NOTES.md, Couplings)
+        # the benchmark swaps in its own runner this way (bench/NOTES.md, Couplings);
+        # it must run whether the budget allows the workers or not
         monkeypatch.setattr(experiment, "_execute_run_star", _marking_star)
         spec = parse_config(write_config(tmp_path))
-        assert run_experiment(spec, parallel=2) == 0
-        markers = sorted(p.name for p in (tmp_path / "out" / "markers").iterdir())
-        assert len(markers) == 4
-        assert markers == sorted(run_csvs(tmp_path / "out"))
+        for count in (1, 2):
+            budget(monkeypatch, count)
+            spec.output_dir = str(tmp_path / f"budget{count}")
+            assert run_experiment(spec, parallel=2) == 0
+            markers = sorted(p.name for p in (tmp_path / f"budget{count}" / "markers").iterdir())
+            assert len(markers) == 4
+            assert markers == sorted(run_csvs(tmp_path / f"budget{count}"))
 
     def test_failures_are_printed_in_job_order(self, tmp_path, monkeypatch, capsys, caplog):
+        budget(monkeypatch, 2)
         monkeypatch.setattr(experiment, "_execute_run_star", _failing_out_of_order_star)
         spec = parse_config(write_config(tmp_path))
         with caplog.at_level(logging.INFO, logger="galasim.experiment"):
@@ -827,6 +1012,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_run_csv_write_failing_gives_exit_4_and_no_outputs(self, tmp_path, monkeypatch,
                                                               capsys, parallel):
+        budget(monkeypatch, 2)
         monkeypatch.setattr(csv, "writer", FailingAfterHeader)
         spec = parse_config(write_config(tmp_path))
         assert run_experiment(spec, parallel=parallel) == 4
@@ -847,12 +1033,13 @@ class TestRunExperiment:
             doomed = sorted(want)[k]  # job order is grid order, and so name order
 
             def dying(job):
-                if Path(job[3]).name == doomed:
+                if Path(job[3]).name == doomed and multiprocessing.parent_process():
                     os._exit(1)
                 return experiment._execute_run(*job)
 
             out = io.StringIO()
             with mock.patch.object(experiment, "_execute_run_star", dying), \
+                    mock.patch.object(experiment, "_processes", lambda: 2), \
                     contextlib.redirect_stdout(out):
                 assert cli.main(["run", config, "--parallel", "2"]) == 3
             lost = [line for line in out.getvalue().splitlines() if "aborted" in line]
@@ -860,7 +1047,8 @@ class TestRunExperiment:
             assert run_csvs(tmp / "out") == {n: b for n, b in want.items() if n != doomed}
             assert not list((tmp / "out").rglob("*.tmp"))
 
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    mock.patch.object(experiment, "_processes", lambda: 2):
                 assert cli.main(["run", config, "--parallel", "2"]) == 0
             assert run_csvs(tmp / "out") == want
             assert (tmp / "out" / "summary.csv").read_bytes() == \
@@ -868,6 +1056,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("where", ["waiting", "logging progress"])
     def test_interrupt_mid_sweep_reaps_the_workers(self, tmp_path, monkeypatch, where):
+        budget(monkeypatch, 2)
         spec = parse_config(write_config(tmp_path))
         spec.output_dir = str(tmp_path / "serial")
         assert run_experiment(spec) == 0
@@ -894,11 +1083,14 @@ class TestRunExperiment:
         # reaped on the way out, not when the traceback held in `info` is freed
         assert info.traceback and multiprocessing.active_children() == []
         monkeypatch.undo()
+        budget(monkeypatch, 2)
         assert run_experiment(spec, parallel=2) == 0
         assert run_csvs(tmp_path / "out") == run_csvs(tmp_path / "serial")
 
     def test_progress_is_logged_at_info_and_leaves_outputs_unchanged(self, tmp_path,
-                                                                      caplog, capsys):
+                                                                      caplog, capsys,
+                                                                      monkeypatch):
+        budget(monkeypatch, 2)
         quiet = parse_config(write_config(tmp_path))
         quiet.output_dir = str(tmp_path / "quiet")
         assert run_experiment(quiet, parallel=2) == 0

@@ -31,7 +31,7 @@ from galasim import (
     weighted_mean,
 )
 from galasim import federation
-from galasim.federation import (_init_model, _source_blocks, _source_processes,
+from galasim.federation import (_init_model, _processes, _source_blocks,
                                 _train_lockstep, evaluate_accuracy, sample_pair)
 
 
@@ -191,8 +191,8 @@ class TestRunGala:
 
 
 def processes(count):
-    """Force run_gala's process count (the derived rule would give 1 here)."""
-    return mock.patch.object(federation, "_source_processes", lambda: count)
+    """Force run_gala's process budget (the derived rule may give 1 here)."""
+    return mock.patch.object(federation, "_processes", lambda: count)
 
 
 def poison(sources, indices):
@@ -229,8 +229,27 @@ class TestSourceProcessRule:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         return monkeypatch
 
+    @pytest.mark.parametrize("env, cpus, expected", [
+        ({}, 2, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2), ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 8, 2),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 3, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1), ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1)])
+    def test_one_budget_table(self, four_cpus, env, cpus, expected):
+        for var, value in env.items():
+            four_cpus.setenv(var, value)
+        four_cpus.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert _processes() == expected
+
+    def test_without_affinity_calls_a_round_uses_one_process(self, four_cpus):
+        four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
+        four_cpus.delattr(os, "sched_setaffinity")
+        assert _processes() == 4  # a sweep needs no pinning
+        sources, _ = small_suite(n_sources=3)
+        with federation._source_pool(small_cfg(), sources) as (block, workers):
+            assert list(block.indices) == [0, 1, 2] and workers == []
+
     def test_unset_thread_variables_mean_one_process(self, four_cpus):
-        assert _source_processes() == 1
+        assert _processes() == 1
 
     @pytest.mark.parametrize("var, value, expected", [
         ("OPENBLAS_NUM_THREADS", "1", 4), ("OMP_NUM_THREADS", "2", 2),
@@ -238,24 +257,24 @@ class TestSourceProcessRule:
         ("OMP_NUM_THREADS", "0", 1), ("OMP_NUM_THREADS", "two", 1)])
     def test_usable_cpus_over_blas_threads(self, four_cpus, var, value, expected):
         four_cpus.setenv(var, value)
-        assert _source_processes() == expected
+        assert _processes() == expected
 
     def test_largest_thread_count_of_the_set_variables(self, four_cpus):
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
         four_cpus.setenv("OMP_NUM_THREADS", "2")
-        assert _source_processes() == 2
+        assert _processes() == 2
 
     def test_without_fork_one_process(self, four_cpus):
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
         four_cpus.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert _source_processes() == 1
+        assert _processes() == 1
 
     def test_inside_a_child_process_one_process(self, four_cpus):
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert _source_processes() == 4
+        assert _processes() == 4
         ctx = multiprocessing.get_context("fork")
         here, there = ctx.Pipe()
-        child = ctx.Process(target=lambda: there.send(_source_processes()))
+        child = ctx.Process(target=lambda: there.send(_processes()))
         child.start()
         try:
             assert here.poll(30) and here.recv() == 1
@@ -269,11 +288,11 @@ class TestSourceProcessRule:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert _source_processes() == 1
+            assert _processes() == 1
         finally:
             release.set()
             other.join(timeout=30)
-        assert not other.is_alive() and _source_processes() == 4
+        assert not other.is_alive() and _processes() == 4
 
     @given(n=st.integers(1, 20), count=st.integers(1, 8))
     def test_blocks_are_contiguous_and_block_0_is_smallest(self, n, count):
