@@ -48,7 +48,6 @@ from .domains import (
     apply_mean_shift,
     apply_rotate,
     apply_scale_recenter,
-    apply_transform,
     apply_transform_chain,
     gen_gaussian_domain,
     gen_glyph_domain,

@@ -19,7 +19,6 @@ whose source worker or sweep worker dies fails like a numeric abort),
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 
 from .discrepancy import GroupClassifier, away_from_kinks, igd_loss, random_partition
 from .errors import ConfigError, GalaError, NumericError, ParseError, WorkerError
-from .experiment import (_atomic_write, _remove_stale_temp_files, build_domains, parse_config,
+from .experiment import (_remove_stale_temp_files, _write_csv, build_domains, parse_config,
                          run_experiment)
 from .federation import similarity_matrix
 from .nn import (
@@ -59,15 +58,9 @@ def _cmd_simmatrix(args) -> int:
     matrix = similarity_matrix([domains[n] for n in names], spec.protocol)
     out_path = Path(spec.output_dir) / "simmatrix.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-
-    def write(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["train\\eval"] + names)
-            for name, row in zip(names, matrix):
-                writer.writerow([name] + [repr(float(v)) for v in row])
-
-    _atomic_write(out_path, write)  # an error midway leaves the previous matrix
+    # an error midway leaves the previous matrix
+    _write_csv(out_path, [["train\\eval"] + names] +
+               [[name] + [repr(float(v)) for v in row] for name, row in zip(names, matrix)])
     width = max(8, max(len(n) for n in names) + 2)
     print("cross-domain accuracy (row = trained on, column = evaluated on)")
     print(" " * width + "".join(f"{n:>{width}}" for n in names))

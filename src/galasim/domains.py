@@ -366,6 +366,8 @@ def apply_rotate(d: DomainDataset, angle: float, seed: int = 0) -> DomainDataset
     """Rotate vector-task samples about the origin (all disjoint planes)."""
     if d.raster_shape is not None:
         raise TypeError("rotate applies to vector tasks, not rasters")
+    if not np.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     rot = _rotation_matrix(d.feature_dim, float(angle))
     samples = d.samples.astype(np.float64) @ rot.T
     return d._replace(samples.astype(np.float32), d.labels, f"rotate(angle={angle})")
@@ -409,10 +411,6 @@ TRANSFORMS = {
 TRANSFORM_KINDS = tuple(TRANSFORMS)
 
 
-def apply_transform(d: DomainDataset, spec: TransformSpec) -> DomainDataset:
-    return TRANSFORMS[spec.kind](d, **spec.params, seed=spec.seed)
-
-
 def apply_transform_chain(d: DomainDataset,
                           chain: Sequence[TransformSpec] | TransformSpec | None) -> DomainDataset:
     if chain is None:
@@ -420,7 +418,7 @@ def apply_transform_chain(d: DomainDataset,
     if isinstance(chain, TransformSpec):
         chain = (chain,)
     for spec in chain:
-        d = apply_transform(d, spec)
+        d = TRANSFORMS[spec.kind](d, **spec.params, seed=spec.seed)
     return d
 
 

@@ -38,7 +38,8 @@ from .domains import (
     save_dataset,
 )
 from .errors import ConfigError, DataError, GalaError, ParseError, WorkerError
-from .federation import ProtocolConfig, RoundRecord, _processes, _Worker, run_protocol
+from .federation import (ProtocolConfig, RoundRecord, _processes, _Worker, check_source_count,
+                         run_protocol)
 
 log = logging.getLogger(__name__)
 
@@ -114,7 +115,10 @@ class ExperimentSpec:
                 raise ConfigError(f"[sweep]: {field_name} repeats a value: {values}")
         for overrides in [{}, *_sweep_grid(self)]:  # the protocol, then the grid
             try:
-                replace(self.protocol, **overrides).validate()
+                cfg = replace(self.protocol, **overrides)
+                cfg.validate()
+                if overrides or "protocol" not in dict(self.sweep):  # a protocol that runs
+                    check_source_count(cfg.protocol, len(self.domains) - 1)
             except ConfigError as exc:
                 where = f"[sweep] {_run_label(overrides)}" if overrides else "[protocol]"
                 raise ConfigError(f"{where}: {exc}") from None
@@ -274,35 +278,45 @@ _FIXED_COLUMNS = ("round", "target_acc", "igd_loss", "mean_source_loss",
 
 def emit_metrics(records: Sequence[RoundRecord], path) -> None:
     """Write one CSV row per round: the fixed columns, then w_0..w_{N-1},
-    then the g1 membership bitmask. LF endings, RFC-4180 quoting.
+    then the g1 membership bitmask.
 
     The file appears at `path` only once complete, since resume treats any
     existing run CSV as done."""
     if not records:
         raise ValueError("emit_metrics: no records")
-    n = records[0].weights.size
-    header = list(_FIXED_COLUMNS) + [f"w_{i}" for i in range(n)] + ["g1_bitmask"]
 
+    def rows():
+        n = records[0].weights.size
+        yield list(_FIXED_COLUMNS) + [f"w_{i}" for i in range(n)] + ["g1_bitmask"]
+        for rec in records:
+            mean_loss = float(np.nanmean(rec.source_losses)) \
+                if rec.source_losses.size else 0.0
+            row = [rec.round_index, repr(float(rec.target_accuracy)),
+                   repr(float(rec.igd_loss)), repr(mean_loss),
+                   rec.bytes_up, rec.bytes_down,
+                   repr(float(rec.wall_max_client_ms)),
+                   repr(float(rec.wall_server_ms)), repr(float(rec.lr))]
+            row += [repr(float(w)) for w in rec.weights]
+            row.append(rec.partition.bitmask_g1() if rec.partition else 0)
+            yield row
+
+    try:
+        _write_csv(path, rows())
+    except OSError as exc:
+        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
+
+
+def _write_csv(path, rows) -> None:
+    """Write `rows`, the header first, as the CSV at `path`: UTF-8, LF endings,
+    RFC-4180 quoting, one `writerow` per row. Every CSV galasim writes goes
+    through here, and through `_atomic_write`, so no reader sees half a file."""
     def write(tmp: str) -> None:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for rec in records:
-                mean_loss = float(np.nanmean(rec.source_losses)) \
-                    if rec.source_losses.size else 0.0
-                row = [rec.round_index, repr(float(rec.target_accuracy)),
-                       repr(float(rec.igd_loss)), repr(mean_loss),
-                       rec.bytes_up, rec.bytes_down,
-                       repr(float(rec.wall_max_client_ms)),
-                       repr(float(rec.wall_server_ms)), repr(float(rec.lr))]
-                row += [repr(float(w)) for w in rec.weights]
-                row.append(rec.partition.bitmask_g1() if rec.partition else 0)
+            for row in rows:
                 writer.writerow(row)
 
-    try:
-        _atomic_write(Path(path), write)
-    except OSError as exc:
-        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
+    _atomic_write(Path(path), write)
 
 
 # ---------------------------------------------------------------------------
@@ -546,16 +560,10 @@ def _write_summary(path: Path, run_index: list) -> None:
             finals[label].append(_final_accuracy_from_csv(Path(csv_path)))
         else:
             failed[label] += 1
-
-    def write(tmp: str) -> None:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["config", "num_runs", "mean_final_acc", "std_final_acc",
-                             "num_failed"])
-            for label in sorted(finals):
-                values = np.asarray(finals[label])
-                stats = ([repr(float(values.mean())), repr(float(values.std()))]
-                         if values.size else ["", ""])
-                writer.writerow([label, values.size, *stats, failed[label]])
-
-    _atomic_write(path, write)
+    rows = [["config", "num_runs", "mean_final_acc", "std_final_acc", "num_failed"]]
+    for label in sorted(finals):
+        values = np.asarray(finals[label])
+        stats = ([repr(float(values.mean())), repr(float(values.std()))]
+                 if values.size else ["", ""])
+        rows.append([label, values.size, *stats, failed[label]])
+    _write_csv(path, rows)

@@ -65,6 +65,7 @@ from .nn import (
     OptimizerState,
     ParamStack,
     Scratch,
+    _as_soft_targets,
     cross_entropy_grad,
     head_grad,
     lr_schedule,
@@ -81,7 +82,9 @@ from .weighting import (
     uniform_weights,
 )
 
-PROTOCOLS = ("gala", "fact_idd", "full_pairwise", "source_only", "oracle")
+# each protocol and the fewest sources it runs on (`check_source_count`)
+MIN_SOURCES = {"gala": 2, "fact_idd": 2, "full_pairwise": 2, "source_only": 1, "oracle": 0}
+PROTOCOLS = tuple(MIN_SOURCES)
 WEIGHTINGS = ("mdmgb_plus", "mdmgb", "uniform")
 
 # node ids for seed derivation; sources use their index
@@ -152,6 +155,13 @@ class ProtocolConfig:
                               f"{self.hidden_dims} and {self.feature_dim}")
 
 
+def check_source_count(protocol: str, sources: int) -> None:
+    """Raise ConfigError if `protocol` needs more sources than `sources`."""
+    if sources < MIN_SOURCES[protocol]:
+        raise ConfigError(f"protocol {protocol!r} needs at least {MIN_SOURCES[protocol]} "
+                          f"sources, got {sources}")
+
+
 @dataclass
 class RoundRecord:
     """Metrics of one communication round.
@@ -195,12 +205,6 @@ def evaluate_accuracy(extractor: FeatureExtractor, classifier: Classifier,
     labels = dataset.require_labels()
     probs = classifier.forward(extractor.forward(dataset.samples))
     return float((probs.argmax(axis=1) == labels).mean())
-
-
-def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
 
 
 def _train_lockstep(cfg: ProtocolConfig, lr: float, extractor: FeatureExtractor,
@@ -255,7 +259,7 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
     `client` is a row of the stack."""
     n, size, num_classes = len(datasets), datasets[0].n_samples, classifiers[0].num_classes
     dim = datasets[0].feature_dim
-    onehots = [_onehot(d.require_labels(), num_classes) for d in datasets]
+    onehots = [_as_soft_targets(d.require_labels(), num_classes, 1) for d in datasets]
     if update_extractor:
         extractor = extractor.with_params(ParamStack.of([extractor.params] * n))
         opt_g = OptimizerState.for_params(extractor.params, cfg.momentum, cfg.weight_decay)
@@ -608,10 +612,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
         sources = []
         if target.labels is None:
             raise DataError("oracle training needs a labeled target")
-    min_sources = {"oracle": 0, "source_only": 1}.get(protocol, 2)
-    if len(sources) < min_sources:
-        raise ConfigError(
-            f"protocol {protocol!r} needs at least {min_sources} sources, got {len(sources)}")
+    check_source_count(protocol, len(sources))
     check_compatible([*sources, target])
     for d in sources:
         if d.labels is None:
@@ -700,7 +701,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 def stage_loss(g, batch):
                     loss, grad = all_pairs_loss(g, heads, batch)
                     pairs = n * (n - 1) / 2
-                    return loss / pairs, grad.scale(1 / pairs)
+                    return loss / pairs, grad * (1 / pairs)
             elif protocol == "fact_idd":  # the pair's two heads
                 stage_loss = lambda g, batch: idd_loss(g, *heads, batch)
             elif protocol == "gala" and cfg.use_igd:

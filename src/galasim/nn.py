@@ -45,6 +45,16 @@ class _FlatParams:
     values: np.ndarray
     shape_spec: ShapeSpec
 
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != self.NDIM:
+            raise ValueError(f"{type(self).__name__} values must be {self.NDIM}-D, "
+                             f"got {self.values.ndim}-D")
+        total = _layout(self.shape_spec)[0]
+        if self.values.shape[-1] != total:
+            raise ValueError(f"{type(self).__name__} row length {self.values.shape[-1]} "
+                             f"does not match shape_spec total {total}")
+
     def zeros_like(self):
         return type(self)(np.zeros(self.values.shape), self.shape_spec)
 
@@ -72,37 +82,22 @@ class ParamVec(_FlatParams):
     `unpack` exposes per-layer views into the flat buffer (no copies).
     """
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("ParamVec values must be one-dimensional")
-        total = _layout(self.shape_spec)[0]
-        if self.values.size != total:
-            raise ValueError(
-                f"ParamVec length {self.values.size} does not match shape_spec "
-                f"total {total}"
-            )
+    NDIM = 1  # axes of `values`
 
     @classmethod
     def zeros(cls, shape_spec: ShapeSpec) -> "ParamVec":
         return cls(np.zeros(_layout(shape_spec)[0]), shape_spec)
 
-    def add(self, other: "ParamVec") -> "ParamVec":
+    def __add__(self, other: "ParamVec") -> "ParamVec":
         self._check_compatible(other)
         return ParamVec(self.values + other.values, self.shape_spec)
-
-    def scale(self, factor: float) -> "ParamVec":
-        return ParamVec(self.values * float(factor), self.shape_spec)
-
-    def __add__(self, other: "ParamVec") -> "ParamVec":
-        return self.add(other)
 
     def __sub__(self, other: "ParamVec") -> "ParamVec":
         self._check_compatible(other)
         return ParamVec(self.values - other.values, self.shape_spec)
 
     def __mul__(self, factor: float) -> "ParamVec":
-        return self.scale(factor)
+        return ParamVec(self.values * float(factor), self.shape_spec)
 
     __rmul__ = __mul__
 
@@ -119,16 +114,7 @@ class ParamStack(_FlatParams):
     treats the rows as independent models; `unpack` gives (N, *dims) views.
     """
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("ParamStack values must be two-dimensional")
-        total = _layout(self.shape_spec)[0]
-        if self.values.shape[1] != total:
-            raise ValueError(
-                f"ParamStack rows of length {self.values.shape[1]} do not match "
-                f"shape_spec total {total}"
-            )
+    NDIM = 2  # axes of `values`: (client, parameter)
 
     @classmethod
     def of(cls, vecs: Sequence[ParamVec]) -> "ParamStack":

@@ -35,7 +35,6 @@ class CentroidSet:
 
     centroids: np.ndarray  # (C, d)
     mass: np.ndarray  # (C,)
-    domain_name: str
 
     def __post_init__(self):
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
@@ -68,7 +67,7 @@ def compute_centroids(extractor: FeatureExtractor, classifier: Classifier,
     weighted = delta.T @ features  # (C, d)
     safe = np.maximum(mass, MASS_FLOOR)
     centroids = np.where((mass > MASS_FLOOR)[:, None], weighted / safe[:, None], 0.0)
-    return CentroidSet(centroids, mass, dataset.name)
+    return CentroidSet(centroids, mass)
 
 
 def similarity_score(target: CentroidSet, source: CentroidSet) -> float:

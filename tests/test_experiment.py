@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import logging
 import multiprocessing
 import os
@@ -153,6 +154,10 @@ for _field, _value in [("lr0", "-0.05"), ("lr0", "0"), ("lr0", "nan"), ("momentu
         f"tau = 0.5, {_value}" if _field == "tau" else f"tau = 0.5, 2.0\n{_field} = 0.5, {_value}")
 
 
+# the CONFIG suite without its second source
+ONE_SOURCE = CONFIG[:CONFIG.index("[domain s1]")]
+
+
 def with_section(tmp_path, section):
     """The CONFIG suite plus one source section named broken_src."""
     return write_config(tmp_path, CONFIG + "\n[domain broken_src]\n" + section)
@@ -286,11 +291,12 @@ def protocol_text(cfg: ProtocolConfig) -> str:
 
 
 def protocol_suite(directory: Path, text: str) -> Path:
-    """Write a two-domain suite whose [protocol] section is `text`."""
+    """Write a three-domain suite, enough sources for every protocol, whose
+    [protocol] section is `text`."""
     gaussian = "generator = gaussian\nnum_classes = 3\nsamples_per_class = 8\ninput_dim = 2\n"
     path = directory / "exp.ini"
     path.write_text(f"[experiment]\nname = typed\ntarget = t0\n\n[protocol]\n{text}\n"
-                    f"[domain t0]\n{gaussian}\n[domain s0]\n{gaussian}")
+                    f"[domain t0]\n{gaussian}\n[domain s0]\n{gaussian}\n[domain s1]\n{gaussian}")
     return path
 
 
@@ -690,6 +696,50 @@ class TestRunExperiment:
         err = capfd.readouterr().err
         assert "configuration error: [protocol]: seed must be >= 0, got -2" in err
         assert "Traceback" not in err and not run_csvs(tmp_path / "out")
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("protocol = gala", "protocol = gala", "[protocol]"),
+        ("tau = 0.5, 2.0", "protocol = source_only, gala", "[sweep] protocol=gala"),
+    ], ids=["protocol", "sweep"])
+    def test_too_few_sources_exit_2_before_any_run(self, tmp_path, capfd, old, new, where):
+        path = write_config(tmp_path, ONE_SOURCE.replace(old, new))
+        assert cli.main(["run", str(path)]) == 2
+        err = capfd.readouterr().err
+        assert err == (f"configuration error: {path}: {where}: "
+                       f"protocol 'gala' needs at least 2 sources, got 1\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, runs", [
+        ("protocol = gala", "protocol = source_only", 4),
+        ("tau = 0.5, 2.0", "protocol = source_only", 2),  # gala in [protocol] never runs
+    ], ids=["protocol", "sweep"])
+    def test_one_source_suite_runs_source_only(self, tmp_path, old, new, runs):
+        assert cli.main(["run", str(write_config(tmp_path, ONE_SOURCE.replace(old, new)))]) == 0
+        assert len(run_csvs(tmp_path / "out")) == runs
+
+    @pytest.mark.parametrize("protocol", federation.PROTOCOLS)
+    def test_every_protocol_needs_its_minimum_of_sources(self, tmp_path, protocol):
+        need = federation.MIN_SOURCES[protocol]
+        target_only = CONFIG[:CONFIG.index("[domain s0]")].replace("protocol = gala",
+                                                                  f"protocol = {protocol}")
+        for count in range(max(need - 1, 0), need + 1):
+            sources = "".join(f"\n[domain s{k}]\n{GAUSSIAN_SRC}seed = {k}\n" for k in range(count))
+            path = write_config(tmp_path, target_only + sources)
+            if count == need:
+                parse_config(path)
+            else:
+                with pytest.raises(ConfigError, match=f"needs at least {need} sources"):
+                    parse_config(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's cos and sin must not warn
+    @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+    def test_non_finite_rotate_angle_exits_2_naming_the_angle(self, tmp_path, capfd, angle):
+        path = write_config(tmp_path, CONFIG.replace("rotate(angle=0.3)", f"rotate(angle={angle})"))
+        assert cli.main(["run", str(path)]) == 2
+        err = capfd.readouterr().err
+        assert err == (f"configuration error: domain 's1': angle must be finite, "
+                       f"got {float(angle)}\n")
+        assert not run_csvs(tmp_path / "out")
 
     @pytest.mark.parametrize("change", [dict(hidden_dims=(8, 0)), dict(hidden_dims=(-3,)),
                                         dict(feature_dim=0)], ids=["zero", "negative", "feature"])
@@ -1225,3 +1275,59 @@ class TestRunExperiment:
         assert build_domains(spec, cache_dir=cache) == first
         assert len(built) == 6  # bumped version: every domain is rebuilt
         assert len(list(cache.glob("*.gdsd"))) == 6
+
+
+CRASH = 17  # the exit code of a sweep killed at a durable write
+
+
+def _sweep_killed_at_write(config: str, out: str, k: int) -> None:
+    """Forked child: run the sweep and die by `os._exit`, skipping every
+    cleanup, right after the k-th `_atomic_write` has written its temp file
+    and before it moves the file into place."""
+    calls = itertools.count()
+    atomic_write = experiment._atomic_write
+
+    def write_then_die(path, write):
+        def write_tmp(tmp):
+            write(tmp)
+            if next(calls) == k:
+                os._exit(CRASH)
+        atomic_write(path, write_tmp)
+
+    experiment._atomic_write = write_then_die
+    with contextlib.redirect_stdout(io.StringIO()):
+        os._exit(cli.main(["run", config, "--out", out]))
+
+
+def output_bytes(out: Path) -> dict:
+    """Every file of a sweep's output directory, by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestCrashConsistency:
+    # the CONFIG sweep writes 3 cached domains, then 4 run CSVs, then summary.csv
+    WRITES = 8
+
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.integers(0, WRITES - 1))
+    def test_a_sweep_killed_at_any_durable_write_reruns_to_the_same_bytes(self, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config = str(write_config(tmp))
+            with mock.patch.object(experiment, "_atomic_write",
+                                   wraps=experiment._atomic_write) as writes, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", config, "--out", str(tmp / "clean")]) == 0
+            assert writes.call_count == self.WRITES
+            want = output_bytes(tmp / "clean")
+
+            child = multiprocessing.get_context("fork").Process(
+                target=_sweep_killed_at_write, args=(config, str(tmp / "out"), k))
+            child.start()
+            child.join(timeout=60)
+            assert child.exitcode == CRASH  # None if it still runs
+            assert len(list((tmp / "out").rglob("*.tmp"))) == 1  # the write it died in
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", config, "--out", str(tmp / "out")]) == 0
+            assert output_bytes(tmp / "out") == want  # and so no *.tmp is left

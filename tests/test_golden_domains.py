@@ -4,7 +4,9 @@ raster transform at its parameter edges.
 Each digest is sha256 over the float32 sample bytes followed by the int64
 label bytes. Rewrites of the generator or the transforms must leave these
 bytes unchanged; a change that alters them on purpose has to update the
-digests and say why. The digests were taken with numpy 2.4 on x86-64.
+digests, bump `experiment._DOMAIN_CACHE_VERSION` (so cached domains are
+rebuilt, not reused) and say why. The digests were taken with numpy 2.4 on
+x86-64.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import hashlib
 import pytest
 
 from galasim import (TransformSpec, apply_transform_chain, gen_glyph_domain)
+from galasim.experiment import _DOMAIN_CACHE_VERSION
 
 CANVASES = (8, 9, 16, 23)
 GLYPH_SHAPES = ((2, 8, 0), (6, 13, 1), (11, 8, 2), (3, 9, 7))  # (C, K, seed)
@@ -307,3 +310,14 @@ def test_transform_chain_bytes_match_golden(name, seed):
     base = gen_glyph_domain(6, 10, 16, channels=1, seed=seed)
     d = apply_transform_chain(base, CHAINS[name])
     assert digest(d) == CHAIN_DIGESTS[f"{name}-s{seed}"]
+
+
+# (_DOMAIN_CACHE_VERSION, sha256 of the digest tables) when they were taken
+DIGESTS_PIN = (1, "ddfceb635a391ef3db8e3968d6a8d36ff28f05469529cefde017360a246f7e6e")
+
+
+def test_retaken_digests_come_with_a_cache_version_bump():
+    """Re-taking a digest changes the tables' hash: pin the new hash together
+    with a bumped cache version, or cached domains of the old bytes are reused."""
+    tables = repr([sorted(t.items()) for t in (GLYPH_DIGESTS, TRANSFORM_DIGESTS, CHAIN_DIGESTS)])
+    assert (_DOMAIN_CACHE_VERSION, hashlib.sha256(tables.encode()).hexdigest()) == DIGESTS_PIN

@@ -85,7 +85,7 @@ class TestParamVec:
         a = ParamVec(np.zeros(4), (("w", (2, 2)),))
         b = ParamVec(np.zeros(4), (("v", (4,)),))
         with pytest.raises(ValueError):
-            a.add(b)
+            a + b
 
     def test_unpack_views_alias_flat_buffer(self):
         pv = ParamVec.zeros((("w", (2, 2)), ("b", (2,))))
@@ -404,7 +404,7 @@ class TestGradCheck:
         x = rng.standard_normal((3, 5))
         y = np.array([0, 1, 2])
         _, grad_g, _ = cross_entropy_grad(extractor, classifier, x, y)
-        doubled = grad_g.scale(2.0)
+        doubled = grad_g * 2.0
         numeric = finite_difference_grad(
             lambda pv: cross_entropy_grad(extractor.with_params(pv), classifier,
                                           x, y)[0],

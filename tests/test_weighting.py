@@ -100,11 +100,11 @@ class TestComputeCentroids:
 
 
 class TestSimilarityScore:
-    def make(self, centroids, mass=None, name="x"):
+    def make(self, centroids, mass=None):
         centroids = np.asarray(centroids, float)
         if mass is None:
             mass = np.ones(centroids.shape[0])
-        return CentroidSet(centroids, mass, name)
+        return CentroidSet(centroids, mass)
 
     def test_identical_sets_give_c_plus_one(self):
         cs = self.make([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
