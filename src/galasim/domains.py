@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ class TransformSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
+        if self.kind not in TRANSFORMS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
 
     def describe(self) -> str:
@@ -46,22 +46,23 @@ class TransformSpec:
 class DomainDataset:
     """One domain's samples plus metadata.
 
-    samples are float32, shape (n, feature_dim); labels are int class indices
-    or None (the unlabeled target view). raster_shape is (channels, s, s) for
-    glyph-style domains and None for vector tasks; provenance records the
-    transform chain. Equality compares the fields the file format persists
-    (name, samples, labels, num_classes).
+    samples are float32, shape (n, feature_dim), cast here from whatever
+    array is given (a value beyond float32's range is a non-finite feature);
+    labels are int class indices or None (the unlabeled target view).
+    raster_shape is (channels, s, s) for glyph-style domains and None for
+    vector tasks. Equality compares the fields the file format persists (name,
+    samples, labels, num_classes).
     """
 
     name: str
     samples: np.ndarray
     labels: Optional[np.ndarray]
     num_classes: int
-    provenance: tuple[str, ...] = ()
     raster_shape: Optional[tuple[int, int, int]] = None
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow fails the finiteness check below
+            self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
         if self.samples.ndim != 2:
             raise DataError("samples must be a 2-D array (n, feature_dim)")
         if not np.isfinite(self.samples).all():
@@ -104,8 +105,7 @@ class DomainDataset:
 
     def strip_labels(self) -> "DomainDataset":
         """Training-facing view of an unlabeled domain: labels are gone, not hidden."""
-        return DomainDataset(self.name, self.samples, None, self.num_classes,
-                             self.provenance + ("labels_stripped",), self.raster_shape)
+        return replace(self, labels=None)
 
     def require_labels(self) -> np.ndarray:
         if self.labels is None:
@@ -117,11 +117,6 @@ class DomainDataset:
         if self.raster_shape is None:
             raise TypeError(f"dataset {self.name!r} is not raster-valued")
         return self.samples.reshape((self.n_samples, *self.raster_shape))
-
-    def _replace(self, samples, labels, provenance_step, raster_shape="keep"):
-        shape = self.raster_shape if raster_shape == "keep" else raster_shape
-        return DomainDataset(self.name, samples, labels, self.num_classes,
-                             self.provenance + (provenance_step,), shape)
 
     def split(self, train_fraction: float, seed: int) -> tuple["DomainDataset", "DomainDataset"]:
         """Seeded stratified split; both halves keep every class when labels exist."""
@@ -138,11 +133,8 @@ class DomainDataset:
             test_idx.append(idx[cut:])
         train_idx = np.sort(np.concatenate(train_idx))
         test_idx = np.sort(np.concatenate(test_idx))
-        make = lambda idx, tag: DomainDataset(
-            self.name, self.samples[idx],
-            labels[idx], self.num_classes,
-            self.provenance + (tag,), self.raster_shape)
-        return make(train_idx, "split_train"), make(test_idx, "split_test")
+        return (replace(self, samples=self.samples[train_idx], labels=labels[train_idx]),
+                replace(self, samples=self.samples[test_idx], labels=labels[test_idx]))
 
 
 def check_compatible(datasets: Sequence[DomainDataset]) -> None:
@@ -182,10 +174,7 @@ def gen_gaussian_domain(num_classes: int, samples_per_class: int, input_dim: int
     samples = centers[labels] + rng.standard_normal((labels.size, input_dim))
     if name is None:
         name = f"gauss_c{num_classes}_d{input_dim}_s{seed}"
-    out = DomainDataset(name, samples.astype(np.float32), labels, num_classes,
-                        (f"gaussian(C={num_classes},K={samples_per_class},d={input_dim},"
-                         f"scale={center_scale},seed={seed})",))
-    return apply_transform_chain(out, shift)
+    return apply_transform_chain(DomainDataset(name, samples, labels, num_classes), shift)
 
 
 _SEGMENT_COUNT = 7
@@ -246,8 +235,6 @@ def gen_glyph_domain(num_classes: int, samples_per_class: int, canvas: int,
     if name is None:
         name = f"glyph_c{num_classes}_v{canvas}_s{seed}"
     return DomainDataset(name, samples.reshape(n, -1), labels, num_classes,
-                         (f"glyph(C={num_classes},K={samples_per_class},canvas={canvas},"
-                          f"channels={channels},seed={seed})",),
                          raster_shape=(channels, canvas, canvas))
 
 
@@ -290,8 +277,7 @@ def apply_background_overlay(d: DomainDataset, noise_amplitude: float, seed: int
     tex *= noise_amplitude
     np.maximum(imgs, tex, out=tex)  # float32 to float64 is exact
     np.clip(tex, 0.0, 1.0, out=tex)
-    return d._replace(tex.reshape(n, -1).astype(np.float32), d.labels,
-                      f"background_overlay(amp={noise_amplitude},seed={seed})")
+    return replace(d, samples=tex.reshape(n, -1))
 
 
 def bilinear_resize(img: np.ndarray, out_size: int) -> np.ndarray:
@@ -326,8 +312,7 @@ def apply_scale_recenter(d: DomainDataset, inner: int, seed: int = 0) -> DomainD
     off = (s - inner) // 2
     out = np.zeros_like(imgs)
     out[:, :, off:off + inner, off:off + inner] = bilinear_resize(imgs, inner)
-    return d._replace(out.reshape(n, -1).astype(np.float32), d.labels,
-                      f"scale_recenter(inner={inner})")
+    return replace(d, samples=out.reshape(n, -1))
 
 
 def apply_channel_stack(d: DomainDataset, shift_px: int, seed: int = 0) -> DomainDataset:
@@ -343,8 +328,7 @@ def apply_channel_stack(d: DomainDataset, shift_px: int, seed: int = 0) -> Domai
     out[:, 0, :, shift_px:] = imgs[:, 0, :, :-shift_px]
     out[:, 1] = imgs[:, 0]
     out[:, 2, :, :-shift_px] = imgs[:, 0, :, shift_px:]
-    return d._replace(out.reshape(n, -1), d.labels,
-                      f"channel_stack(shift_px={shift_px})", raster_shape=(3, s, s))
+    return replace(d, samples=out.reshape(n, -1), raster_shape=(3, s, s))
 
 
 def _rotation_matrix(dim: int, angle: float) -> np.ndarray:
@@ -370,7 +354,7 @@ def apply_rotate(d: DomainDataset, angle: float, seed: int = 0) -> DomainDataset
         raise ValueError(f"angle must be finite, got {angle}")
     rot = _rotation_matrix(d.feature_dim, float(angle))
     samples = d.samples.astype(np.float64) @ rot.T
-    return d._replace(samples.astype(np.float32), d.labels, f"rotate(angle={angle})")
+    return replace(d, samples=samples)
 
 
 def apply_mean_shift(d: DomainDataset, magnitude: float, seed: int = 0) -> DomainDataset:
@@ -382,8 +366,7 @@ def apply_mean_shift(d: DomainDataset, magnitude: float, seed: int = 0) -> Domai
     norm = np.linalg.norm(direction)
     direction = direction / norm if norm > 0 else direction
     samples = d.samples.astype(np.float64) + float(magnitude) * direction
-    return d._replace(samples.astype(np.float32), d.labels,
-                      f"mean_shift(magnitude={magnitude},seed={seed})")
+    return replace(d, samples=samples)
 
 
 def apply_label_noise(d: DomainDataset, fraction: float, seed: int = 0) -> DomainDataset:
@@ -396,7 +379,7 @@ def apply_label_noise(d: DomainDataset, fraction: float, seed: int = 0) -> Domai
     idx = rng.choice(labels.size, size=n_flip, replace=False)
     offsets = rng.integers(1, d.num_classes, size=n_flip)
     labels[idx] = (labels[idx] + offsets) % d.num_classes
-    return d._replace(d.samples, labels, f"label_noise(fraction={fraction},seed={seed})")
+    return replace(d, labels=labels)
 
 
 # a TransformSpec's params are its function's arguments but the dataset and seed
@@ -408,7 +391,6 @@ TRANSFORMS = {
     "mean_shift": apply_mean_shift,
     "label_noise": apply_label_noise,
 }
-TRANSFORM_KINDS = tuple(TRANSFORMS)
 
 
 def apply_transform_chain(d: DomainDataset,
@@ -542,5 +524,4 @@ def load_dataset(path) -> DomainDataset:
         raise IntegrityError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
     return DomainDataset(name, samples, labels, num_classes,
-                         provenance=(f"loaded({path})",),
                          raster_shape=_infer_raster_shape(feature_dim))

@@ -87,6 +87,18 @@ MIN_SOURCES = {"gala": 2, "fact_idd": 2, "full_pairwise": 2, "source_only": 1, "
 PROTOCOLS = tuple(MIN_SOURCES)
 WEIGHTINGS = ("mdmgb_plus", "mdmgb", "uniform")
 
+# What a round's nodes do, the facts the cost model prices: how many sources
+# train (all unless listed; the oracle trains the co-located target instead),
+# which protocols pool (fine-tune the heads on the aggregated extractor, which
+# the sources download), and how many heads the target trains through per
+# sample, given n sources and use_igd (the oracle's 1 is its own supervised
+# training).
+_TRAINING_SOURCES = {"fact_idd": 2, "oracle": 0}
+_POOLED = ("gala", "full_pairwise")
+_TARGET_HEADS = {"gala": lambda n, igd: n if igd else 0,
+                 "full_pairwise": lambda n, igd: n * (n - 1), "fact_idd": lambda n, igd: 2,
+                 "oracle": lambda n, igd: 1, "source_only": lambda n, igd: 0}
+
 # node ids for seed derivation; sources use their index
 _TARGET_NODE = 1_000_000
 _SERVER_NODE = 1_000_001
@@ -343,8 +355,8 @@ class _SourceBlock:
     """The per-client phases of a round for the clients sources[i], i in
     `indices` (`sources` maps seed nodes to datasets).
 
-    `train` runs the centroid pass (gala and full_pairwise) and local
-    training from the broadcast model and keeps the trained heads; `finetune`
+    `train` runs the centroid pass (if `_centroid_pass`) and local training
+    from the broadcast model and keeps the trained heads; `finetune`
     then fine-tunes them on the aggregated extractor. Every client draws only
     from its own _rng(seed, round, index, stage), so its results do not
     depend on which block or process computes it.
@@ -358,9 +370,8 @@ class _SourceBlock:
     def train(self, t: int, lr: float, extractor: FeatureExtractor,
               classifier: Classifier):
         cfg = self.cfg
-        weighted = cfg.weighting != "uniform" and cfg.protocol in ("gala", "full_pairwise")
-        centroids = [compute_centroids(extractor, classifier, src)
-                     for src in self.sources] if weighted else []
+        centroids = [compute_centroids(extractor, classifier, src) for src in self.sources] \
+            if _centroid_pass(cfg.protocol, cfg.weighting) else []
         trained, self.heads, losses = _train_lockstep(
             cfg, lr, extractor, [classifier] * len(self.sources), self.sources,
             [_rng(cfg.seed, t, i, 1) for i in self.indices], round_index=t)
@@ -443,34 +454,31 @@ class _Worker:
 # communication and runtime accounting
 
 
+def _centroid_pass(protocol: str, weighting: str) -> bool:
+    """Whether the sources and the target compute class centroids each round
+    (pooled protocols weighted by similarity)."""
+    return protocol in _POOLED and weighting != "uniform"
+
+
 def account_communication(protocol: str, n_sources: int, extractor_size: int,
                           classifier_size: int, num_classes: int, feature_dim: int,
                           weighting: str = "mdmgb_plus") -> tuple[int, int]:
     """Simulated bytes crossing the client/server boundary in one round.
 
-    4 bytes per f32 component. Per source and round the full protocol uploads
-    the trained extractor, the fine-tuned classifier, and the class centroids
-    with their soft masses; downloads are the model broadcast plus the
-    aggregated extractor. Uniform weighting skips the centroid upload. The
-    pair protocol only ever activates two sources; the oracle communicates
-    nothing.
+    4 bytes per f32 component. Each training source (every source; fact_idd's
+    pair; none for the oracle, whose target is co-located with the server)
+    downloads the model broadcast, plus the aggregated extractor if the
+    protocol is pooled, and uploads its trained extractor and its trained or
+    fine-tuned classifier, plus its class centroids with their soft masses
+    after a centroid pass.
     """
-    g, f, c, d = extractor_size, classifier_size, num_classes, feature_dim
-    if protocol in ("gala", "full_pairwise"):
-        centroid = (c * d + c) if weighting != "uniform" else 0
-        up = n_sources * (g + f + centroid)
-        down = n_sources * (2 * g + f)
-    elif protocol == "fact_idd":
-        up = 2 * (g + f)
-        down = 2 * (g + f)
-    elif protocol == "source_only":
-        up = n_sources * (g + f)
-        down = n_sources * (g + f)
-    elif protocol == "oracle":
-        up = down = 0
-    else:
+    if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
-    return 4 * up, 4 * down
+    g, f, c = extractor_size, classifier_size, num_classes
+    clients = _TRAINING_SOURCES.get(protocol, n_sources)
+    centroids = c * feature_dim + c if _centroid_pass(protocol, weighting) else 0
+    aggregated = g if protocol in _POOLED else 0
+    return 4 * clients * (g + f + centroids), 4 * clients * (g + f + aggregated)
 
 
 def _mac_extractor(extractor: FeatureExtractor) -> int:
@@ -483,39 +491,24 @@ def _round_wall_model(cfg: ProtocolConfig, source_sizes: Sequence[int],
                       num_classes: int) -> tuple[float, float]:
     """Deterministic per-round wall model in ms: max over nodes, and server.
 
-    Forward costs 1x the MACs, a training step 3x (forward + backward).
+    Forward costs 1x the MACs, a training step 3x (forward + backward). Each
+    training source (the first two sizes for fact_idd, none for the oracle)
+    costs its local training, plus the frozen-extractor fine-tune if the
+    protocol is pooled, plus its centroid pass. The target costs training
+    through its heads (the extractor and every head, per sample; nothing
+    with no heads), plus its centroid pass. The server aggregates both models
+    of each training source and, for a pooled protocol, scores its similarity.
     """
-    c, d = num_classes, cfg.feature_dim
-    n = len(source_sizes)
-    centroid_pass = cfg.weighting != "uniform" and cfg.protocol in ("gala", "full_pairwise")
-    node_costs = []
-    if cfg.protocol in ("gala", "full_pairwise"):
-        for k in source_sizes:
-            cost = cfg.local_epochs * k * 3 * (mac_g + mac_f)      # local training
-            cost += cfg.local_epochs * k * (mac_g + 3 * mac_f)     # frozen-G fine-tune
-            if centroid_pass:
-                cost += k * (mac_g + mac_f + c * d)
-            node_costs.append(cost)
-        pair_terms = n if cfg.protocol == "gala" else n * (n - 1)  # members touched per sample
-        target_cost = cfg.local_epochs * target_size * (3 * mac_g + 3 * pair_terms * mac_f) \
-            if (cfg.use_igd or cfg.protocol == "full_pairwise") else 0
-        if centroid_pass:
-            target_cost += target_size * (mac_g + mac_f + c * d)
-        node_costs.append(target_cost)
-        server = n * (c * d + mac_g + mac_f)  # similarities + both aggregations
-    elif cfg.protocol == "fact_idd":
-        for k in source_sizes[:2]:
-            node_costs.append(cfg.local_epochs * k * 3 * (mac_g + mac_f))
-        node_costs.append(cfg.local_epochs * target_size * (3 * mac_g + 3 * 2 * mac_f))
-        server = 2 * (mac_g + mac_f)
-    elif cfg.protocol == "source_only":
-        for k in source_sizes:
-            node_costs.append(cfg.local_epochs * k * 3 * (mac_g + mac_f))
-        server = n * (mac_g + mac_f)
-    else:  # oracle
-        node_costs.append(cfg.local_epochs * target_size * 3 * (mac_g + mac_f))
-        server = 0
-    return max(node_costs) / MACS_PER_MS, server / MACS_PER_MS
+    g, f, cd, epochs = mac_g, mac_f, num_classes * cfg.feature_dim, cfg.local_epochs
+    pooled = cfg.protocol in _POOLED
+    sizes = source_sizes[:_TRAINING_SOURCES.get(cfg.protocol, len(source_sizes))]
+    heads = _TARGET_HEADS[cfg.protocol](len(source_sizes), cfg.use_igd)
+    centroids = g + f + cd if _centroid_pass(cfg.protocol, cfg.weighting) else 0  # per sample
+    finetune = g + 3 * f if pooled else 0  # per sample and epoch
+    costs = [k * (epochs * (3 * (g + f) + finetune) + centroids) for k in sizes]
+    costs.append(target_size * ((epochs * 3 * (g + heads * f) if heads else 0) + centroids))
+    server = len(sizes) * (g + f + (cd if pooled else 0))
+    return max(costs) / MACS_PER_MS, server / MACS_PER_MS
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +620,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                                     num_classes, cfg.feature_dim, cfg.weighting)
     wall = _round_wall_model(cfg, [s.n_samples for s in sources], target_view.n_samples,
                              mac_g, mac_f, num_classes)
-    pooled = protocol in ("gala", "full_pairwise")  # centroids, fine-tune, processes
+    pooled = protocol in _POOLED  # fine-tune, source processes
     # the clients that may train, by seed node; the oracle's is the target
     clients = {_TARGET_NODE: replace(target_train, name="target")} \
         if protocol == "oracle" else dict(enumerate(sources))
@@ -649,7 +642,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
             for worker in workers:
                 worker.submit("train", t, lr, extractor, classifier)
             centroids, trained, losses = local.train(t, lr, extractor, classifier)
-            if pooled and cfg.weighting != "uniform":
+            if _centroid_pass(protocol, cfg.weighting):
                 target_cent = compute_centroids(extractor, classifier, target_view)
             for worker in workers:
                 cents, block_trained, block_losses = worker.result(f" in round {t}")
@@ -673,8 +666,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                     else mdmgb_baseline(sims)
 
             # extractor aggregation, then gala's and full_pairwise's frozen fine-tune
-            aggregated = extractor.with_params(
-                trained[0] if protocol == "oracle" else weighted_mean(trained, mix))
+            aggregated = extractor.with_params(weighted_mean(trained, mix))
             heads = local.heads
             if pooled:
                 for worker in workers:
@@ -724,9 +716,8 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 merged = weighted_mean(
                     [weighted_mean([heads[i].params for i in g], group_w[g]) for g in groups],
                     [float(weights[g].sum()) for g in groups])
-            else:  # the oracle keeps its one head
-                merged = heads[0].params if protocol == "oracle" \
-                    else weighted_mean([f.params for f in heads], mix)
+            else:
+                merged = weighted_mean([f.params for f in heads], mix)
             classifier = classifier.with_params(merged)
 
             acc = evaluate_accuracy(extractor, classifier, target_eval)
@@ -748,7 +739,7 @@ def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
              target: DomainDataset, round_hook=None) -> RunResult:
     """run_protocol for the group-weighted adaptation protocol and its
     all-pairs variant (cfg.protocol ``gala`` or ``full_pairwise``)."""
-    if cfg.protocol not in ("gala", "full_pairwise"):
+    if cfg.protocol not in _POOLED:
         raise ConfigError("run_gala handles the gala and full_pairwise protocols")
     return run_protocol(cfg, sources, target, round_hook)
 

@@ -297,12 +297,6 @@ class TestTransformInvariants:
         c = apply_background_overlay(glyph, 0.6, seed=3)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_provenance_appended(self):
-        glyph = gen_glyph_domain(3, 8, 12, seed=1)
-        out = apply_scale_recenter(apply_background_overlay(glyph, 0.6, seed=2), 8)
-        assert len(out.provenance) == len(glyph.provenance) + 2
-        assert "scale_recenter" in out.provenance[-1]
-
 
 class TestMixup:
     def test_forced_lambda_one_is_identity(self):

@@ -741,6 +741,20 @@ class TestRunExperiment:
                        f"got {float(angle)}\n")
         assert not run_csvs(tmp_path / "out")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the float32 cast must not warn
+    @pytest.mark.parametrize("domain, old, new", [
+        ("s0", "seed = 0\n", "seed = 0\ncenter_scale = 1e300\n"),
+        ("s1", "rotate(angle=0.3)", "mean_shift(magnitude=1e300, seed=9)"),
+    ], ids=["center_scale", "mean_shift"])
+    def test_float32_overflow_exits_2_naming_the_domain(self, tmp_path, capfd, domain, old,
+                                                        new):
+        assert CONFIG.count(old) == 1
+        assert cli.main(["run", str(write_config(tmp_path, CONFIG.replace(old, new)))]) == 2
+        err = capfd.readouterr().err
+        assert err == (f"configuration error: domain {domain!r}: dataset {domain!r} "
+                       f"contains non-finite features\n")
+        assert not run_csvs(tmp_path / "out")
+
     @pytest.mark.parametrize("change", [dict(hidden_dims=(8, 0)), dict(hidden_dims=(-3,)),
                                         dict(feature_dim=0)], ids=["zero", "negative", "feature"])
     def test_width_below_1_is_a_config_error(self, change):

@@ -630,9 +630,8 @@ class TestRoundEngine:
             run_protocol(cfg, sources, target)
         assert calls["evaluate_accuracy"] == cfg.rounds  # the sweep's round timer
         reached = {name for name, count in calls.items() if count}
-        expected = {"cross_entropy_grad", "sgd_step", "mixup", "evaluate_accuracy"}
-        if protocol != "oracle":
-            expected.add("weighted_mean")
+        expected = {"cross_entropy_grad", "sgd_step", "mixup", "evaluate_accuracy",
+                    "weighted_mean"}
         if protocol in ("gala", "full_pairwise"):
             expected |= {"compute_centroids", "similarity_score", "mdmgb_plus"}
         if protocol == "gala":
@@ -672,6 +671,90 @@ class TestCommunicationAccounting:
         expect_up = 4 * 4 * (g + f + 3 * 8 + 3)
         assert result.records[0].bytes_up == expect_up
 
+    @pytest.mark.parametrize("protocol", federation.PROTOCOLS)
+    def test_bytes_match_the_traffic(self, protocol):
+        # count the floats source clients receive and send, per round; the
+        # oracle's target client is co-located with the server
+        sources, target = small_suite()
+        cfg = small_cfg(protocol=protocol, rounds=3)
+        down, up = {}, {}  # by round: floats down, and per source {part: floats up}
+        real_train, real_finetune = federation._SourceBlock.train, federation._SourceBlock.finetune
+
+        def train(block, t, lr, extractor, classifier):
+            centroids, trained, losses = real_train(block, t, lr, extractor, classifier)
+            for k, i in enumerate(block.indices):
+                if i != federation._TARGET_NODE:
+                    down[t] = down.get(t, 0) + extractor.params.size + classifier.params.size
+                    up.setdefault(t, {})[i] = {
+                        "extractor": trained[k].size, "head": block.heads[k].params.size,
+                        "centroids": centroids[k].centroids.size + centroids[k].mass.size
+                        if centroids else 0}
+            return centroids, trained, losses
+
+        def finetune(block, t, lr, aggregated):
+            heads = real_finetune(block, t, lr, aggregated)
+            for i, head in zip(block.indices, heads):
+                down[t] += aggregated.params.size
+                up[t][i]["head"] = head.params.size
+            return heads
+
+        with processes(1), mock.patch.object(federation._SourceBlock, "train", train), \
+                mock.patch.object(federation._SourceBlock, "finetune", finetune):
+            result = run_protocol(cfg, sources, target)
+        assert len(result.records) == cfg.rounds
+        for r in result.records:
+            sent = sum(sum(parts.values()) for parts in up.get(r.round_index, {}).values())
+            assert (r.bytes_up, r.bytes_down) == (4 * sent, 4 * down.get(r.round_index, 0))
+
+
+# _round_wall_model(cfg, [30, 45, 60], target_size, mac_g=192, mac_f=24,
+# num_classes=3) at feature_dim 8, by (protocol, weighting, use_igd,
+# local_epochs): (busiest node's ms with a 10-sample target, with a
+# 200-sample target, server ms). The unequal sizes tell fact_idd's pair (the
+# first two sizes) from all sources; the small target leaves a source busiest.
+WALL_TABLE = {
+    ("gala", "mdmgb_plus", True, 1): (0.06912, 0.2064, 0.00072),
+    ("gala", "mdmgb_plus", True, 2): (0.12384, 0.3648, 0.00072),
+    ("gala", "mdmgb_plus", False, 1): (0.06912, 0.06912, 0.00072),
+    ("gala", "mdmgb_plus", False, 2): (0.12384, 0.12384, 0.00072),
+    ("gala", "uniform", True, 1): (0.05472, 0.1584, 0.00072),
+    ("gala", "uniform", True, 2): (0.10944, 0.3168, 0.00072),
+    ("gala", "uniform", False, 1): (0.05472, 0.05472, 0.00072),
+    ("gala", "uniform", False, 2): (0.10944, 0.10944, 0.00072),
+    ("fact_idd", "mdmgb_plus", True, 1): (0.02916, 0.144, 0.000432),
+    ("fact_idd", "mdmgb_plus", True, 2): (0.05832, 0.288, 0.000432),
+    ("fact_idd", "mdmgb_plus", False, 1): (0.02916, 0.144, 0.000432),
+    ("fact_idd", "mdmgb_plus", False, 2): (0.05832, 0.288, 0.000432),
+    ("fact_idd", "uniform", True, 1): (0.02916, 0.144, 0.000432),
+    ("fact_idd", "uniform", True, 2): (0.05832, 0.288, 0.000432),
+    ("fact_idd", "uniform", False, 1): (0.02916, 0.144, 0.000432),
+    ("fact_idd", "uniform", False, 2): (0.05832, 0.288, 0.000432),
+    ("full_pairwise", "mdmgb_plus", True, 1): (0.06912, 0.2496, 0.00072),
+    ("full_pairwise", "mdmgb_plus", True, 2): (0.12384, 0.4512, 0.00072),
+    ("full_pairwise", "mdmgb_plus", False, 1): (0.06912, 0.2496, 0.00072),
+    ("full_pairwise", "mdmgb_plus", False, 2): (0.12384, 0.4512, 0.00072),
+    ("full_pairwise", "uniform", True, 1): (0.05472, 0.2016, 0.00072),
+    ("full_pairwise", "uniform", True, 2): (0.10944, 0.4032, 0.00072),
+    ("full_pairwise", "uniform", False, 1): (0.05472, 0.2016, 0.00072),
+    ("full_pairwise", "uniform", False, 2): (0.10944, 0.4032, 0.00072),
+    ("source_only", "mdmgb_plus", True, 1): (0.03888, 0.03888, 0.000648),
+    ("source_only", "mdmgb_plus", True, 2): (0.07776, 0.07776, 0.000648),
+    ("source_only", "mdmgb_plus", False, 1): (0.03888, 0.03888, 0.000648),
+    ("source_only", "mdmgb_plus", False, 2): (0.07776, 0.07776, 0.000648),
+    ("source_only", "uniform", True, 1): (0.03888, 0.03888, 0.000648),
+    ("source_only", "uniform", True, 2): (0.07776, 0.07776, 0.000648),
+    ("source_only", "uniform", False, 1): (0.03888, 0.03888, 0.000648),
+    ("source_only", "uniform", False, 2): (0.07776, 0.07776, 0.000648),
+    ("oracle", "mdmgb_plus", True, 1): (0.00648, 0.1296, 0.0),
+    ("oracle", "mdmgb_plus", True, 2): (0.01296, 0.2592, 0.0),
+    ("oracle", "mdmgb_plus", False, 1): (0.00648, 0.1296, 0.0),
+    ("oracle", "mdmgb_plus", False, 2): (0.01296, 0.2592, 0.0),
+    ("oracle", "uniform", True, 1): (0.00648, 0.1296, 0.0),
+    ("oracle", "uniform", True, 2): (0.01296, 0.2592, 0.0),
+    ("oracle", "uniform", False, 1): (0.00648, 0.1296, 0.0),
+    ("oracle", "uniform", False, 2): (0.01296, 0.2592, 0.0),
+}
+
 
 class TestWallModel:
     def test_deterministic_and_positive(self):
@@ -693,6 +776,16 @@ class TestWallModel:
             result = run_gala(cfg, sources, target)
             walls.append(result.records[0].wall_max_client_ms)
         assert walls[0] < walls[1] < walls[2]
+
+    @pytest.mark.parametrize("key", WALL_TABLE)
+    def test_unequal_source_sizes(self, key):
+        protocol, weighting, use_igd, local_epochs = key
+        cfg = ProtocolConfig(protocol=protocol, weighting=weighting, use_igd=use_igd,
+                             local_epochs=local_epochs, feature_dim=8)
+        small, large, server = WALL_TABLE[key]
+        wall = federation._round_wall_model
+        assert wall(cfg, [30, 45, 60], 10, 192, 24, 3) == (small, server)
+        assert wall(cfg, [30, 45, 60], 200, 192, 24, 3) == (large, server)
 
 
 class TestSimilarityMatrix:
