@@ -143,7 +143,7 @@ class GroupClassifier:
 def _trace(extractor: FeatureExtractor, target_batch: np.ndarray,
            *groups: GroupClassifier) -> list[np.ndarray]:
     """The extractor's activations on a nonempty batch the groups can read."""
-    x = np.atleast_2d(np.asarray(target_batch, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(target_batch))  # forward_trace picks the dtype
     if x.shape[0] == 0:
         raise ValueError("disagreement loss: empty batch")
     if any(gc.input_dim != extractor.output_dim for gc in groups):

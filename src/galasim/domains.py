@@ -410,29 +410,32 @@ def mixup(x: np.ndarray, y_soft: np.ndarray, alpha: float, rng: np.random.Genera
     """Pairwise mixup: each sample blends with a random partner using its own
     lambda ~ Beta(alpha, alpha). `lam` forces a fixed lambda (test hook).
 
-    With a Scratch, the float64 arrays x and y_soft are blended in place and
-    returned, and the partner rows are gathered into its memory; without
-    one, the blends are fresh arrays and the inputs are left alone.
+    With a Scratch, x (a float32 or float64 array) and y_soft (a float64
+    array) are blended in place and returned, and the partner rows are
+    gathered into its memory; without one, the blends are fresh float64
+    arrays and the inputs are left alone.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if scratch is None:
         x = np.array(x, dtype=np.float64)
         y_soft = np.array(y_soft, dtype=np.float64)
-    elif not all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in (x, y_soft)):
-        raise ValueError("mixup with a Scratch blends in place: x and y_soft must be "
-                         "float64 arrays")
+    elif not (isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64)
+              and isinstance(y_soft, np.ndarray) and y_soft.dtype == np.float64):
+        raise ValueError("mixup with a Scratch blends in place: x must be a float32 or "
+                         "float64 array and y_soft a float64 array")
     n = x.shape[0]
     if n < 2:
         raise ValueError("mixup needs a batch of at least 2")
     partner = rng.permutation(n)
     lams = np.full(n, float(lam)) if lam is not None else rng.beta(alpha, alpha, size=n)
-    lx = lams[:, None]
     for key, a in (("mixup_x", x), ("mixup_y", y_soft)):
-        # lx*a + (1-lx)*a[partner]; "clip" is exact for a permutation and
-        # skips the buffered gather of the default "raise"
+        # lx*a + (1-lx)*a[partner] in a's dtype (a float64 lx would make a
+        # float32 blend cast every element: 3.8x slower at 64 x 768); "clip"
+        # is exact for a permutation and skips the buffered gather of "raise"
+        lx = lams[:, None].astype(a.dtype, copy=False)
         other = np.take(a, partner, axis=0, mode="clip",
-                        out=None if scratch is None else scratch.take(key, a.shape))
+                        out=None if scratch is None else scratch.take(key, a.shape, a.dtype))
         other *= 1 - lx
         a *= lx
         a += other

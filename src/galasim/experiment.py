@@ -48,6 +48,14 @@ log = logging.getLogger(__name__)
 # entry builds or saves, so stale cache files are rebuilt, not reused.
 _DOMAIN_CACHE_VERSION = 1
 
+# Version of the engine's numeric results. It is part of every run hash, so
+# the run CSVs of an output directory written before a bump are not taken
+# for finished runs but run again: bump it when a change alters the results
+# on purpose (tests/test_golden.py pins it to its digest tables). 1 was the
+# float64 training of releases whose run hash had no version; 2 trains the
+# extractor in float32.
+_RESULTS_VERSION = 2
+
 
 @dataclass
 class DomainEntry:
@@ -389,7 +397,7 @@ def _run_label(overrides: dict) -> str:
 
 
 def _run_hash(cfg: ProtocolConfig, domain_key: str) -> str:
-    text = repr(sorted(cfg.__dict__.items())) + "|" + domain_key
+    text = f"r{_RESULTS_VERSION}|" + repr(sorted(cfg.__dict__.items())) + "|" + domain_key
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

@@ -106,14 +106,19 @@ _SERVER_NODE = 1_000_001
 # nominal client compute rate for the deterministic wall-time model
 MACS_PER_MS = 1.0e6
 
-# Most parameter bytes (extractor plus classifier, float64) one lockstep
-# stack may hold. A stack keeps every member's activations, deltas, gradients
-# and momentum alive at once, so its size trades per-step Python work against
-# peak memory. Measured on the benchmark workloads: twelve 2.8k-parameter
-# Gaussian clients per stack raised gala_n12's peak RSS from 42.8 to 47.7 MB,
-# four to 44.0 MB and three (this cap, as fast as four) to 43.7 MB; five
-# 51k-parameter glyph models per stack raised sweep_glyph's from about 132 to
-# 144 MB, so those train one at a time.
+# Most parameter bytes (extractor plus classifier, at their real itemsize)
+# one lockstep stack may hold. A stack keeps every member's activations,
+# deltas, gradients and momentum alive at once, so its size trades per-step
+# Python work against peak memory. Measured on the benchmark workloads with
+# float64 models: twelve 2.8k-parameter Gaussian clients per stack raised
+# gala_n12's peak RSS from 42.8 to 47.7 MB, four to 44.0 MB and three (as
+# fast as four) to 43.7 MB; five 51k-parameter glyph models per stack raised
+# sweep_glyph's from about 132 to 144 MB, so those train one at a time. With
+# the float32 extractor a Gaussian client holds 11.7 kB, so this cap stacks
+# seven (each source process's block of six on gala_n12): in 4 alternating
+# pairs of 20 s runs against a 40 kB cap (stacks of three) gala_n12 ran
+# 51.1-53.6 against 44.1-50.2 rounds/s, at a peak RSS of 41.98-42.04
+# against 41.63-41.98 MB.
 STACK_BYTES = 80 * 1024
 
 # BLAS thread variables; the process budget (`_processes`) needs one pinned
@@ -219,6 +224,7 @@ def evaluate_accuracy(extractor: FeatureExtractor, classifier: Classifier,
     return float((probs.argmax(axis=1) == labels).mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite checks name the client
 def _train_lockstep(cfg: ProtocolConfig, lr: float, extractor: FeatureExtractor,
                     classifiers: Sequence[Classifier], datasets: Sequence[DomainDataset],
                     rngs: Sequence[np.random.Generator], round_index: Optional[int] = None,
@@ -237,7 +243,7 @@ def _train_lockstep(cfg: ProtocolConfig, lr: float, extractor: FeatureExtractor,
     non-finite loss, gradient or parameter raises NumericError naming the
     lowest-index client of the first step that failed.
     """
-    per_client = 8 * (extractor.params.size + classifiers[0].params.size)
+    per_client = extractor.params.values.nbytes + classifiers[0].params.values.nbytes
     cap = max(1, STACK_BYTES // per_client)
     by_size: dict[int, list[int]] = {}
     for k, d in enumerate(datasets):
@@ -282,10 +288,10 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
         orders = [rng.permutation(size) for rng in rngs]
         for start in range(0, size, cfg.batch_size):
             idx = [order[start : start + cfg.batch_size] for order in orders]
-            xb = scratch.take("x", (n, idx[0].size, dim))
+            xb = scratch.take("x", (n, idx[0].size, dim), extractor.params.values.dtype)
             targets = scratch.take("y", (n, idx[0].size, num_classes))
             for k in range(n):
-                xb[k] = datasets[k].samples[idx[k]]  # float32 to float64 is exact
+                xb[k] = datasets[k].samples[idx[k]]  # exact in the extractor's dtype
                 targets[k] = onehots[k][idx[k]]
                 if cfg.mixup_alpha is not None and idx[k].size >= 2:
                     # blends xb[k] and targets[k] in place
@@ -370,7 +376,8 @@ class _SourceBlock:
     def train(self, t: int, lr: float, extractor: FeatureExtractor,
               classifier: Classifier):
         cfg = self.cfg
-        centroids = [compute_centroids(extractor, classifier, src) for src in self.sources] \
+        centroids = [_centroids(extractor, classifier, src, t, src.name)
+                     for src in self.sources] \
             if _centroid_pass(cfg.protocol, cfg.weighting) else []
         trained, self.heads, losses = _train_lockstep(
             cfg, lr, extractor, [classifier] * len(self.sources), self.sources,
@@ -497,17 +504,18 @@ def _round_wall_model(cfg: ProtocolConfig, source_sizes: Sequence[int],
     protocol is pooled, plus its centroid pass. The target costs training
     through its heads (the extractor and every head, per sample; nothing
     with no heads), plus its centroid pass. The server aggregates both models
-    of each training source and, for a pooled protocol, scores its similarity.
+    of each training source and, after a centroid pass, scores its similarity.
     """
     g, f, cd, epochs = mac_g, mac_f, num_classes * cfg.feature_dim, cfg.local_epochs
     pooled = cfg.protocol in _POOLED
     sizes = source_sizes[:_TRAINING_SOURCES.get(cfg.protocol, len(source_sizes))]
     heads = _TARGET_HEADS[cfg.protocol](len(source_sizes), cfg.use_igd)
-    centroids = g + f + cd if _centroid_pass(cfg.protocol, cfg.weighting) else 0  # per sample
+    scored = _centroid_pass(cfg.protocol, cfg.weighting)
+    centroids = g + f + cd if scored else 0  # per sample
     finetune = g + 3 * f if pooled else 0  # per sample and epoch
     costs = [k * (epochs * (3 * (g + f) + finetune) + centroids) for k in sizes]
     costs.append(target_size * ((epochs * 3 * (g + heads * f) if heads else 0) + centroids))
-    server = len(sizes) * (g + f + (cd if pooled else 0))
+    server = len(sizes) * (g + f + (cd if scored else 0))
     return max(costs) / MACS_PER_MS, server / MACS_PER_MS
 
 
@@ -516,10 +524,24 @@ def _round_wall_model(cfg: ProtocolConfig, source_sizes: Sequence[int],
 
 
 def _init_model(cfg: ProtocolConfig, input_dim: int, num_classes: int):
+    """The broadcast model of round 0: a float32 extractor, so that training
+    runs the wide layers in float32 on the float32 domains, and a float64
+    classifier, whose outputs feed the losses, centroids and weights."""
     rng = _rng(cfg.seed, 0, _SERVER_NODE, 0)
     extractor = FeatureExtractor.init(input_dim, cfg.hidden_dims, cfg.feature_dim, rng)
     classifier = Classifier.init(cfg.feature_dim, num_classes, rng)
-    return extractor, classifier
+    narrow = replace(extractor.params, values=extractor.params.values.astype(np.float32))
+    return extractor.with_params(narrow), classifier
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _centroids(extractor: FeatureExtractor, classifier: Classifier, dataset: DomainDataset,
+               round_index: int, client: str):
+    """compute_centroids; non-finite centroids raise NumericError naming the client."""
+    try:
+        return compute_centroids(extractor, classifier, dataset)
+    except ValueError as exc:
+        raise NumericError(str(exc), round_index=round_index, client=client) from exc
 
 
 def _partition_seed(seed: int, round_index: int) -> int:
@@ -563,6 +585,7 @@ def _source_pool(cfg: ProtocolConfig, sources: Sequence[DomainDataset]):
             worker.close()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises NumericError
 def _target_pass(cfg, extractor, target_view, lr, rng, loss_and_grad):
     """One target stage: local_epochs of minibatch SGD of the extractor alone on
     loss_and_grad(extractor, batch) -> (loss, gradient); returns it and the mean loss."""
@@ -572,8 +595,7 @@ def _target_pass(cfg, extractor, target_view, lr, rng, loss_and_grad):
     for _ in range(cfg.local_epochs):
         order = rng.permutation(data.shape[0])
         for start in range(0, data.shape[0], cfg.batch_size):
-            batch = data[order[start : start + cfg.batch_size]].astype(np.float64)
-            loss, grad = loss_and_grad(extractor, batch)
+            loss, grad = loss_and_grad(extractor, data[order[start : start + cfg.batch_size]])
             if not np.isfinite(loss):
                 raise NumericError("non-finite group-discrepancy loss")
             losses.append(loss)
@@ -643,7 +665,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 worker.submit("train", t, lr, extractor, classifier)
             centroids, trained, losses = local.train(t, lr, extractor, classifier)
             if _centroid_pass(protocol, cfg.weighting):
-                target_cent = compute_centroids(extractor, classifier, target_view)
+                target_cent = _centroids(extractor, classifier, target_view, t, "target")
             for worker in workers:
                 cents, block_trained, block_losses = worker.result(f" in round {t}")
                 centroids += cents
@@ -705,8 +727,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                         cfg, aggregated, target_view, lr, _rng(cfg.seed, t, _TARGET_NODE, 3),
                         stage_loss)
                 elif protocol == "gala":  # the ablation still measures the group loss
-                    disagreement, _ = igd_loss(aggregated, gc1, gc2,
-                                               target_view.samples.astype(np.float64))
+                    disagreement, _ = igd_loss(aggregated, gc1, gc2, target_view.samples)
             except NumericError as exc:
                 raise NumericError(str(exc), round_index=t, client="target") from exc
 

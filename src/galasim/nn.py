@@ -5,8 +5,14 @@ classifier, analytic gradients via manual backpropagation, SGD with momentum
 and weight decay, a step learning-rate schedule, and a central finite
 difference gradient checker.
 
-Everything here is a pure function over value types; all math is float64.
-The model math also takes a leading client axis: a ParamStack holds one
+Everything here is a pure function over value types. The math follows the
+dtype it is given, one fixed rule, not an option: parameters stay float32 or
+float64 as given; the layers, the softmax and the cross-entropy compute in
+the result type of their parameters and inputs (a float32 extractor on
+float32 batches runs in float32, a float64 head widens float32 features);
+backprop computes in its activations' dtype; weighted_mean sums in float64
+and rounds once to its inputs' dtype; soft targets are float64. The model
+math also takes a leading client axis: a ParamStack holds one
 parameter row per client, and the layers then map (N, batch, dim) to
 (N, batch, dim') with each client's slice computed as the one-model
 operation would compute it, bit for bit.
@@ -46,7 +52,10 @@ class _FlatParams:
     shape_spec: ShapeSpec
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        if values.dtype != np.float32:  # float32 stays, anything else is float64
+            values = values.astype(np.float64, copy=False)
+        self.values = values
         if self.values.ndim != self.NDIM:
             raise ValueError(f"{type(self).__name__} values must be {self.NDIM}-D, "
                              f"got {self.values.ndim}-D")
@@ -56,7 +65,7 @@ class _FlatParams:
                              f"does not match shape_spec total {total}")
 
     def zeros_like(self):
-        return type(self)(np.zeros(self.values.shape), self.shape_spec)
+        return type(self)(np.zeros_like(self.values), self.shape_spec)
 
     def copy(self):
         return type(self)(self.values.copy(), self.shape_spec)
@@ -147,18 +156,19 @@ class Scratch:
     def __init__(self):
         self._flat: dict = {}  # key -> 1-D buffer
 
-    def take(self, key, shape: tuple[int, ...]) -> np.ndarray:
-        """A contiguous float64 array of `shape`, the same memory on every
-        call with `key` (grown when a larger shape is asked for)."""
+    def take(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A contiguous `dtype` array of `shape`, the same memory on every
+        call with `key` and `dtype` (grown when a larger shape is asked for)."""
         size = math.prod(shape)
-        flat = self._flat.get(key)
+        slot = (key, np.dtype(dtype))
+        flat = self._flat.get(slot)
         if flat is None or flat.size < size:
-            flat = self._flat[key] = np.empty(size)
+            flat = self._flat[slot] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
 
-def _out(scratch: Scratch | None, key, shape: tuple[int, ...]) -> np.ndarray | None:
-    return None if scratch is None else scratch.take(key, shape)
+def _out(scratch: Scratch | None, key, shape: tuple[int, ...], dtype) -> np.ndarray | None:
+    return None if scratch is None else scratch.take(key, shape, dtype)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, scratch: Scratch | None, key) -> np.ndarray:
@@ -167,7 +177,14 @@ def _matmul(a: np.ndarray, b: np.ndarray, scratch: Scratch | None, key) -> np.nd
     if scratch is None:
         return a @ b
     lead = max(a.shape[:-2], b.shape[:-2], key=len)
-    return np.matmul(a, b, out=scratch.take(key, lead + (a.shape[-2], b.shape[-1])))
+    return np.matmul(a, b, out=scratch.take(key, lead + (a.shape[-2], b.shape[-1]),
+                                            np.result_type(a, b)))
+
+
+def _as_input(params: _FlatParams, x) -> np.ndarray:
+    """x with at least 2 axes, in the result type of params and x."""
+    x = np.asarray(x)
+    return np.atleast_2d(x.astype(np.result_type(params.values, x), copy=False))
 
 
 def _check_finite(params: _FlatParams, message: str) -> None:
@@ -182,7 +199,8 @@ def _check_finite(params: _FlatParams, message: str) -> None:
 
 
 def weighted_mean(vecs: Sequence[ParamVec], weights: Sequence[float]) -> ParamVec:
-    """Sum_n weights[n] * vecs[n]; all vecs must share one shape_spec."""
+    """Sum_n weights[n] * vecs[n]; all vecs must share one shape_spec. Every
+    product and the sum are float64, rounded once to the inputs' dtype."""
     if len(vecs) == 0:
         raise ValueError("weighted_mean needs at least one ParamVec")
     if len(vecs) != len(weights):
@@ -192,13 +210,15 @@ def weighted_mean(vecs: Sequence[ParamVec], weights: Sequence[float]) -> ParamVe
     for v, w in zip(vecs, weights):
         if v.shape_spec != spec:
             raise ValueError("ParamVec shape_specs differ; not combinable")
-        acc += float(w) * v.values
-    return ParamVec(acc, spec)
+        acc += np.multiply(v.values, w, dtype=np.float64)
+    return ParamVec(acc.astype(vecs[0].values.dtype, copy=False), spec)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax; invariant to adding a constant to all logits."""
-    logits = np.asarray(logits, dtype=np.float64)
+    """Row-wise stable softmax; invariant to adding a constant to all logits.
+    float32 logits give float32 probabilities, others float64."""
+    logits = np.asarray(logits)
+    logits = logits.astype(np.result_type(logits, np.float32), copy=False)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -266,7 +286,7 @@ class FeatureExtractor:
         (N, batch, dim) activations. With a Scratch, the returned arrays live
         in its memory.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = _as_input(self.params, x)
         if x.shape[-1] != self.input_dim:
             raise ConfigError(
                 f"input dim {x.shape[-1]} does not match extractor input_dim {self.input_dim}"
@@ -285,15 +305,16 @@ class FeatureExtractor:
 
     def backprop(self, acts, dfeatures: np.ndarray,
                  scratch: Scratch | None = None) -> ParamVec:
-        """Gradient of a scalar loss w.r.t. params given d(loss)/d(features);
-        a Scratch holds the layer deltas."""
+        """Gradient of a scalar loss w.r.t. params given d(loss)/d(features),
+        computed in the activations' dtype; a Scratch holds the layer deltas."""
         blocks = self.params.unpack()
-        grad = type(self.params)(np.empty(self.params.values.shape), self.params.shape_spec)
+        grad = type(self.params)(np.empty_like(self.params.values), self.params.shape_spec)
         gblocks = grad.unpack()  # every block is written below
         top = self.n_layers - 1
+        dtype = acts[-1].dtype
         # ReLU subgradient, 0 at the kink: relu(z) > 0 exactly where z > 0
-        delta = np.multiply(dfeatures, acts[-1] > 0.0,
-                            out=_out(scratch, ("d", top), acts[-1].shape))
+        delta = np.multiply(np.asarray(dfeatures, dtype=dtype), acts[-1] > 0.0,
+                            out=_out(scratch, ("d", top), acts[-1].shape, dtype))
         for i in reversed(range(self.n_layers)):
             np.matmul(delta.swapaxes(-1, -2), acts[i], out=gblocks[f"w{i}"])
             delta.sum(axis=-2, out=gblocks[f"b{i}"])
@@ -326,7 +347,7 @@ class Classifier:
         return Classifier(self.input_dim, self.num_classes, params)
 
     def logits(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        z = _as_input(self.params, z)
         if z.shape[-1] != self.input_dim:
             raise ConfigError(
                 f"feature dim {z.shape[-1]} does not match classifier input_dim {self.input_dim}"
@@ -385,7 +406,7 @@ def head_grad(classifier: Classifier, features: np.ndarray,
     A stacked classifier takes (N, batch, d) features and (N, batch) or
     (N, batch, C) labels, and returns one loss per client.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features = _as_input(classifier.params, features)
     batch = features.shape[-2]
     if batch == 0:
         raise ValueError("cross-entropy: empty batch")

@@ -23,7 +23,7 @@ DIGESTS = {
     "02_synthetic_domains.py": "71c1a1ba43cc39cbe6470c604ccfd268b137ea8aa61156546fa1faf1bab7ff01",
     "03_centroid_weighting.py": "836a7335cba6358e28c2117a1a86d64746935e0198599374e517eaf2e006c06c",
     "04_group_discrepancy.py": "ca1f30e0ad27df49a20e9c23304d13471c8dd2504ae0e9acdbdef783c6419a62",
-    "06_experiment_runner.py": "9bb08f6b3480b573059a076d2dcb33370ccee1b74131e872869cf512fbff764f",
+    "06_experiment_runner.py": "735eda12ed9c5cbb3f1cec26ef87b15affcdd0b17c01dd060e54a5ee9fba0e4e",
 }
 
 

@@ -369,14 +369,22 @@ class TestMixup:
             assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
             assert rng.random() == ref_rng.random()
 
-    def test_scratch_needs_float64(self):
+    def test_scratch_needs_float_x_and_float64_targets(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 3))
         y = np.eye(3)[[0, 1, 2, 0]]
-        with pytest.raises(ValueError, match="float64"):
-            mixup(x.astype(np.float32), y, 0.2, rng, scratch=Scratch())
-        with pytest.raises(ValueError, match="float64"):
+        # a float32 x is blended in place in float32, with float32 lambdas
+        x32, ref_rng = x.astype(np.float32), np.random.default_rng(1)
+        partner = ref_rng.permutation(4)
+        lx = ref_rng.beta(0.2, 0.2, 4)[:, None].astype(np.float32)
+        expect = x32 * lx + x32[partner] * (1 - lx)
+        mx, my = mixup(x32, y.copy(), 0.2, np.random.default_rng(1), scratch=Scratch())
+        assert mx is x32 and mx.dtype == np.float32 and mx.tobytes() == expect.tobytes()
+        assert my.dtype == np.float64
+        with pytest.raises(ValueError, match="y_soft a float64 array"):
             mixup(x, y.astype(np.float32), 0.2, rng, scratch=Scratch())
+        with pytest.raises(ValueError, match="float32 or float64 array"):
+            mixup(np.arange(12).reshape(4, 3), y, 0.2, rng, scratch=Scratch())
 
 
 class TestDatasetFile:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from multiprocessing.connection import wait
 from pathlib import Path
 from unittest import mock
@@ -435,11 +436,16 @@ class TestGeneratedConfigs:
                                       for name, keys in sections.items()))
             argv = ["run", str(config), "--parallel", str(parallel)]
             stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = cli.main(argv + (["--seed", seed] if seed else []))
             runs = list(out.glob("runs/*.csv"))
         assert code in (0, 2, 3), (code, stdout.getvalue(), stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
+        numpy_warnings = [str(w.message) for w in caught
+                          if issubclass(w.category, RuntimeWarning)]
+        assert not numpy_warnings, numpy_warnings
         assert code != 2 or not runs
         # such an abort is a value `validate` could have rejected before any run
         aborted = [line for line in stdout.getvalue().splitlines()
@@ -836,6 +842,14 @@ class TestRunExperiment:
         after = {p.name: p.stat().st_mtime_ns for p in runs_dir.glob("*.csv")}
         assert mtimes == after  # untouched files: completed runs were skipped
 
+    def test_results_version_bump_reruns_an_old_output_directory(self, tmp_path, monkeypatch):
+        run_experiment(parse_config(write_config(tmp_path)))
+        old = run_csvs(tmp_path / "out")
+        monkeypatch.setattr(experiment, "_RESULTS_VERSION", experiment._RESULTS_VERSION + 1)
+        assert run_experiment(parse_config(write_config(tmp_path))) == 0
+        new = run_csvs(tmp_path / "out").keys() - old.keys()
+        assert len(new) == len(old) == 4  # every run has a new name and ran again
+
     def test_summary_std_matches_recomputation(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
         run_experiment(spec)
@@ -876,6 +890,17 @@ class TestRunExperiment:
         # domain cache and directory structure survive for a resume
         assert (tmp_path / "out" / "cache").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numeric_abort_on_the_command_line_shows_no_numpy_warning(self, tmp_path, capfd):
+        text = CONFIG.replace("lr0 = 0.05", "lr0 = 1e12").replace(
+            "tau = 0.5, 2.0", "tau = 1.0")
+        assert cli.main(["run", str(write_config(tmp_path, text))]) == 3
+        out, err = capfd.readouterr()
+        aborted = [line for line in out.splitlines()
+                   if ": aborted: NumericError: non-finite" in line]
+        assert len(aborted) == 2, out
+        assert "Warning" not in out + err and "Traceback" not in err
 
     def test_weight_underflow_fails_one_run_and_sweep_continues(self, tmp_path):
         # at tau=3000 the distractor's weight underflows to 0 in round 0

@@ -75,6 +75,18 @@ class TestRunGala:
         assert np.array_equal(a.classifier.params.values, b.classifier.params.values)
         assert np.array_equal(a.extractor.params.values, b.extractor.params.values)
 
+    @pytest.mark.parametrize("protocol", federation.PROTOCOLS)
+    def test_the_extractor_trains_in_float32_and_the_heads_in_float64(self, protocol):
+        sources, target = small_suite()
+        seen = []
+        result = run_protocol(small_cfg(protocol=protocol, rounds=2), sources, target,
+                              round_hook=seen.append)
+        assert result.extractor.params.values.dtype == np.float32
+        assert result.classifier.params.values.dtype == np.float64
+        for info in seen:
+            assert info["weights"].dtype == np.float64
+            assert all(f.params.values.dtype == np.float64 for f in info["finetuned"] or [])
+
     def test_zero_lr_single_round_keeps_model(self):
         sources, target = small_suite()
         cfg = small_cfg(rounds=1, weight_decay=0.0)
@@ -169,6 +181,17 @@ class TestRunGala:
                 sources, target)
         assert info.value.round_index == 0
         assert info.value.client == f"poisoned{poisoned[0]}"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_target_centroids_name_the_target(self):
+        # the float32 features of samples at +-3e38 overflow in the centroid pass
+        sources, target = small_suite()
+        target = type(target)(target.name, np.sign(target.samples) * np.float32(3e38),
+                              target.labels, target.num_classes)
+        with pytest.raises(NumericError) as info:
+            run_gala(small_cfg(rounds=1), sources, target)
+        assert (info.value.round_index, info.value.client) == (0, "target")
+        assert info.value.reason == "centroid set contains non-finite values"
 
     @pytest.mark.parametrize("mixup_alpha", [None, 0.4])
     def test_frozen_fine_tune_leaves_extractor_bytes(self, mixup_alpha):
@@ -712,15 +735,17 @@ class TestCommunicationAccounting:
 # local_epochs): (busiest node's ms with a 10-sample target, with a
 # 200-sample target, server ms). The unequal sizes tell fact_idd's pair (the
 # first two sizes) from all sources; the small target leaves a source busiest.
+# The server scores similarities only after a centroid pass, so the uniform
+# rows of gala and full_pairwise charge it no n * c * d.
 WALL_TABLE = {
     ("gala", "mdmgb_plus", True, 1): (0.06912, 0.2064, 0.00072),
     ("gala", "mdmgb_plus", True, 2): (0.12384, 0.3648, 0.00072),
     ("gala", "mdmgb_plus", False, 1): (0.06912, 0.06912, 0.00072),
     ("gala", "mdmgb_plus", False, 2): (0.12384, 0.12384, 0.00072),
-    ("gala", "uniform", True, 1): (0.05472, 0.1584, 0.00072),
-    ("gala", "uniform", True, 2): (0.10944, 0.3168, 0.00072),
-    ("gala", "uniform", False, 1): (0.05472, 0.05472, 0.00072),
-    ("gala", "uniform", False, 2): (0.10944, 0.10944, 0.00072),
+    ("gala", "uniform", True, 1): (0.05472, 0.1584, 0.000648),
+    ("gala", "uniform", True, 2): (0.10944, 0.3168, 0.000648),
+    ("gala", "uniform", False, 1): (0.05472, 0.05472, 0.000648),
+    ("gala", "uniform", False, 2): (0.10944, 0.10944, 0.000648),
     ("fact_idd", "mdmgb_plus", True, 1): (0.02916, 0.144, 0.000432),
     ("fact_idd", "mdmgb_plus", True, 2): (0.05832, 0.288, 0.000432),
     ("fact_idd", "mdmgb_plus", False, 1): (0.02916, 0.144, 0.000432),
@@ -733,10 +758,10 @@ WALL_TABLE = {
     ("full_pairwise", "mdmgb_plus", True, 2): (0.12384, 0.4512, 0.00072),
     ("full_pairwise", "mdmgb_plus", False, 1): (0.06912, 0.2496, 0.00072),
     ("full_pairwise", "mdmgb_plus", False, 2): (0.12384, 0.4512, 0.00072),
-    ("full_pairwise", "uniform", True, 1): (0.05472, 0.2016, 0.00072),
-    ("full_pairwise", "uniform", True, 2): (0.10944, 0.4032, 0.00072),
-    ("full_pairwise", "uniform", False, 1): (0.05472, 0.2016, 0.00072),
-    ("full_pairwise", "uniform", False, 2): (0.10944, 0.4032, 0.00072),
+    ("full_pairwise", "uniform", True, 1): (0.05472, 0.2016, 0.000648),
+    ("full_pairwise", "uniform", True, 2): (0.10944, 0.4032, 0.000648),
+    ("full_pairwise", "uniform", False, 1): (0.05472, 0.2016, 0.000648),
+    ("full_pairwise", "uniform", False, 2): (0.10944, 0.4032, 0.000648),
     ("source_only", "mdmgb_plus", True, 1): (0.03888, 0.03888, 0.000648),
     ("source_only", "mdmgb_plus", True, 2): (0.07776, 0.07776, 0.000648),
     ("source_only", "mdmgb_plus", False, 1): (0.03888, 0.03888, 0.000648),

@@ -5,7 +5,9 @@ the final extractor and classifier bytes and the run's metadata, which the
 CSV does not show.
 
 Speedups must leave these bytes unchanged. A change that alters the floating
-point results on purpose has to update the digests and state the drift. The
+point results on purpose has to update the digests, bump
+`experiment._RESULTS_VERSION` (so the runs of an old output directory run
+again instead of being taken as done) and state the drift. The
 digests were taken with numpy 2.4 on x86-64 (OpenBLAS); another BLAS or CPU
 may round differently.
 """
@@ -16,126 +18,127 @@ import pytest
 
 from galasim import (ProtocolConfig, TransformSpec, emit_metrics,
                      gen_gaussian_domain, run_protocol)
+from galasim.experiment import _RESULTS_VERSION
 
 DIGESTS = {
-    ("gala", None): "702a0d2b48ad099baf253c95427767ded4dbcde3e80dba45d645c8e526653ad7",
-    ("gala", 0.4): "34b85d5619dfa30504c3c0aea724de0cf10bf3541bce46f89d07447c026b0b43",
-    ("fact_idd", None): "d5395eb506997b5643b4ca5cf85864407de9da5cf1926b2e251a78099aa93d7d",
-    ("fact_idd", 0.4): "6e2c7eea1a6cffd69fbfb8a5c9af35cf2d541fde678bd0ae14514aa460b96ac2",
-    ("full_pairwise", None): "07da43f8dc9d16b429033c4232707f0139bfd16537cfde0f4d18a7106e1ccfbd",
-    ("full_pairwise", 0.4): "f4ae88c6b3d365fc50d53bf17a2a0900a183ce4013d4104afaba64d31839ffc0",
-    ("source_only", None): "74828e4cc4e9646b2737476e80054fc7cd16cc357f9e7032c332b87b058d4e8e",
-    ("source_only", 0.4): "12aa7aeeb1665673a38bdfb7c52c647e0540f82ff7f8355eceb9043c1b08e1d0",
-    ("oracle", None): "12b3f5cc2639c1791e76d4205a5aefa0681533e9970532aa3ab96ae38a078e57",
-    ("oracle", 0.4): "e840d998b5d8e132c9618d6ad1bd391c1211c754d9ab3d089d3deb43b17bb302",
+    ("gala", None): "22032fd684c2e73483b6ca65c4719aa517042f7eaf662c664076878586f7354f",
+    ("gala", 0.4): "f5b95f0d131a79ff0380d75ba715f7d8d98face2bc4ad7693a76e1a5f9f3ef94",
+    ("fact_idd", None): "01d4a1dff120b41d414dce5f59a28dff0e9f97411b1891faad7192a124984e48",
+    ("fact_idd", 0.4): "66c4586c3a4d7f49860db3751501bd1592b74202c91eebe242101a86fbdb254c",
+    ("full_pairwise", None): "578c207cfb656200a213ae3a771d19884f318c4a2f59e1eabf2e9d68090fad28",
+    ("full_pairwise", 0.4): "ecc8046dde949014ad6db4ada270037801bcb4ffeab55dcea58af56d8bb60042",
+    ("source_only", None): "d011dc096743cf88f7b0b0b61614128ba89445a8d03a3918ffb6201188eeaf1c",
+    ("source_only", 0.4): "83336d27ba0aed2fbf03df24451c72a29ddfb45c9561c0cea12c4a40b60c4e32",
+    ("oracle", None): "4ff8562a87bf22d7de0d843bc5f1777f7157e674b50547005606494237aa5cd9",
+    ("oracle", 0.4): "b1b40feb6d80376ee5452205323bc17c81a62d49a20b46c3e91a36ee5f2951db",
 }
 
 # (protocol, mixup_alpha, config overrides), with "n_sources" naming the suite size
 MORE_DIGESTS = {
     ("gala", None, (("weighting", "mdmgb"),)):
-        "c0fe71b0feac088f478a2dc80a44b65ce2d722ffbd94e2e09928975612ffdb2b",
+        "53ad3e6e3fcf768cf219355c00782fba5f4d89b8397c9ce3bba2688cc8929f69",
     ("gala", None, (("weighting", "uniform"),)):
-        "d4bafb984564cb9fc6f7e09db2a56dba14f791f59210088e50baa8b6495aee19",
+        "4effc8fb02d67d9e4f5e68af65243f001dea23d78e83ff7cc8b5543716057809",
     ("full_pairwise", None, (("weighting", "mdmgb"),)):
-        "27be033b715ef51a0f5c7c3bd1f39cccdc8110d931ec57f39a400bb73f38db4d",
+        "69c8286eae348b9e95d97bfe497af710809144f047630f33040d94278259feae",
     ("full_pairwise", None, (("weighting", "uniform"),)):
-        "fedd2ce41653ee3f27f921899e002801ab885ca0db464029451d7eaffeb4ad52",
+        "c12fe7cc504c40c3b71d82b19349a3995492c3e9bf8d2260aef3fceb59ffcb17",
     ("gala", None, (("use_igd", False),)):
-        "de3a04d2c3aa86a77dea33d0a22a57cf0059821b6a93d203954a114c968d08dd",
+        "b6ddf70d9184ecd759e941fb3d144f7162569a4b99a20c106f91a07e779fb6a9",
     ("gala", None, (("local_epochs", 2),)):
-        "53d677733a435bb610500fa82081d2423055fa4127a176fa45d84bb03bf8c436",
+        "41e2963e82a9a3f02623daead0c151b1c40f90d2d4ff5979a04537defab592cc",
     ("fact_idd", None, (("local_epochs", 2),)):
-        "e51cec2549159280354e9a0becf208ea91a330a7ed93c8a33182f399edea27fc",
+        "3ff30fc11720f29df2372f2a2ae814c8fad56060a23fed2b7c9bd76110b0f593",
     ("full_pairwise", None, (("local_epochs", 2),)):
-        "ac3d3bfd2fd46fbc08f9d9d83829878546f4a57ba7cb55f396986f855066e7d9",
+        "4ae2ea3f6d5e597197e2994d1fa90b6ef15155b91156d9f0118d4164015d98cf",
     ("source_only", None, (("local_epochs", 2),)):
-        "47e35e3e2b500be6501d98c54a5ff06c0afb00eab457842324c1b39d24347568",
+        "fa6864f5020db30ed24ce61f8f6ffc934163036ac81aec574147c6f9ec4d4a89",
     ("oracle", None, (("local_epochs", 2),)):
-        "bb42dc9f631fe7c1c071e6aed2555b8ba2b672696426853e445135d6b24027e9",
+        "09ef4239d48e2e7ba469012d9f645c45e80baf5a22e486cdab622c675fe3a307",
     ("gala", None, (("n_sources", 2),)):
-        "cbfad547beb094ffcfa3a12149d8bfaca0b0b8298f010d0759409a04bab9ab57",
+        "77bfd44a09a68882efbb50780080e386546351291df3ac1ed97df9f5c7622b9d",
     ("fact_idd", None, (("n_sources", 2),)):
-        "3184b744ca27bd92d3bd1368aafb90a389ccef966152f88eba6ca41af6bfee64",
+        "1c9c25012d57aae78402f2a126fe270c6bf2f45045950a39badff6b4f62dfc8d",
     ("full_pairwise", None, (("n_sources", 2),)):
-        "2ed2b47860694718a17a6ea7af5267e28cef53d2d45654b6855dfaecf99f7bd3",
+        "94b2c27b666f891e7a775eae17b869b5800c1566767ef37816fdecbe6a42bab1",
     ("source_only", None, (("n_sources", 2),)):
-        "37c19bf301c3799d184d6a59974f3908d9459608cd65cd0aa3b55ef9e5fa6d37",
+        "e090e86ec68cdc8806bac351395a9e996ec88f4c16b96573ea1ac33a42778264",
     ("oracle", None, (("n_sources", 2),)):
-        "12b3f5cc2639c1791e76d4205a5aefa0681533e9970532aa3ab96ae38a078e57",
+        "4ff8562a87bf22d7de0d843bc5f1777f7157e674b50547005606494237aa5cd9",
     ("gala", None, (("n_sources", 4),)):
-        "d39589e6762ccea8000ed10a994725f0ee439db1b162d4de76ee2bcb9bd18361",
+        "0858488919044afd901e52d6b971de57fe683f2cd8c2b6317190a2237dd8ea99",
     ("fact_idd", None, (("n_sources", 4),)):
-        "c28c8f6541518f7c8a732d6872af03c08465c87eaeda2f81a9b1a8a0b2377cd3",
+        "0174808ab40b570617c89991e3ac329fa71c3486cddd7f7fd19f56711db97a68",
     ("full_pairwise", None, (("n_sources", 4),)):
-        "14e636d50f8b44232d0e64c0f321e35e20a88115b4177c495e84b4c8b8b93d76",
+        "d9c478f96514f5d863a4edcc41e1a84718a4c5f6924025346dee888a084012b2",
     ("source_only", None, (("n_sources", 4),)):
-        "47f0571f09194a3ae0e9d063ad81b2b5732a29c7ccc6e2328db1eb62ab763f0e",
+        "99ae6469e4bb0f66c071da4f834043e426a6e7e90fe291e69eef93509ca77f5b",
     ("oracle", None, (("n_sources", 4),)):
-        "12b3f5cc2639c1791e76d4205a5aefa0681533e9970532aa3ab96ae38a078e57",
+        "4ff8562a87bf22d7de0d843bc5f1777f7157e674b50547005606494237aa5cd9",
 }
 
 # digest of the final extractor bytes, classifier bytes and metadata, per case
 MODEL_DIGESTS = {
     ("gala", None, ()):
-        "ae2367cd2d863f84e1a87cc2f60fef3bf014034bf96a2081fa6dd13f06607ad8",
+        "c3cec7d6e78909c7f611a303a90ecb393eafd11349040e59ff34f048e589ad93",
     ("gala", 0.4, ()):
-        "67bee81199342646607b23704cf9bad0fd6e12339196cf4be5cd0b7c518e71e2",
+        "9025136a4dcba37fae9397cefa11c6eea03a04fb010cd2d6a77b9226f37f411d",
     ("fact_idd", None, ()):
-        "d163ed5a9f4f5646a74ed09544b28288a3989b98e481aaf96cf0333ae38ea037",
+        "2280fe4419a048ed63fd0ed28446c82607fa3da3a8a33a293045d713a57bbbc6",
     ("fact_idd", 0.4, ()):
-        "a6f46592530a9690c563251dd11bfb755a5b7012ec06fcc321292676acd44c13",
+        "46dbb2d77b4db643baee6186f23bf5fe167050a18e5ed8b63fcb7533c5353d0b",
     ("full_pairwise", None, ()):
-        "1110d29d06176b3e9a0f4d2b516cf8294a299a8e6bb12be0ca14087207211b8c",
+        "b1052aab9dae7558ce9f422e367e1a638cc410d0b117d6f6bb6239f305cf5012",
     ("full_pairwise", 0.4, ()):
-        "97f0140a5899a053ab0d01134073320e8959ab093322ec5c57870169e56b6cdd",
+        "f03b47bfa7de096e2dca18f89f218c7856b7f99cd6837703a0d45d3898de4a89",
     ("source_only", None, ()):
-        "d2bf37d14ec2fde60c10e8fee7e119e9346d8f94db2dbb5efa4833a16ff5150d",
+        "8469ebe600dd0a00c9dead16e2c677c87e9c22442cafb36ca977b4692623cfa2",
     ("source_only", 0.4, ()):
-        "c8668943ba1959dfe211fc26035f6c97ca00f69d5026e07cd12bb3df143af04d",
+        "85d885e5ab68fd1a2153ea9f176f89b7f0434ddf0a0b94de6e8e2076a5f28985",
     ("oracle", None, ()):
-        "6978cde502c626a7b869ff410a5ea5625e29408de6af0c839a3d4b50d6a16614",
+        "ff00fd1b2fa6c9d95610428829e48eed8205e00689c0b33df7853bdf5d530644",
     ("oracle", 0.4, ()):
-        "2a002ca9b56be2e604d0928f5dafda2338836835a592fd7700b852aea1204b50",
+        "2b348912284e5f839a46aec572e3fa21fcd825955a9cb6d0f25ff8880b9b4e0b",
     ("gala", None, (("weighting", "mdmgb"),)):
-        "c2fecf697779145f7e990a4b3d0ff179a315945ebf20bf9c55df525d046c4e31",
+        "a9cc77d5a16d34565d8f080bac0b571634fa09533794ee791b5b18d6503259ca",
     ("gala", None, (("weighting", "uniform"),)):
-        "7ba2796adf967a7032a9c4e8cff620def95821d3eee66f511a33a219c4f9584c",
+        "d25a0333172201d9d1e505a2cd9f8d801b9a45cf5b8978fcad5db14314e77e45",
     ("full_pairwise", None, (("weighting", "mdmgb"),)):
-        "1d5c83e2ce8862c5f3ee0ca8ebc48abe19f53e26dab90b495682d66f84238b85",
+        "29756fb1580c9d53bf4d3ca61a41ca8b4ff5c385dd135db333cd83b9ea814f5a",
     ("full_pairwise", None, (("weighting", "uniform"),)):
-        "2ce5a33cf4e5e67fd855dd1f93b1137b602574fec4ae454690b6292a6ab11c59",
+        "946fc47c5a1bd8307fb384f3da59b14f36936f43d475e76371961344c0b83727",
     ("gala", None, (("use_igd", False),)):
-        "21e416652e08690cedd25ba2c077f611e9be98a33632d9231eae09ba407c7eaa",
+        "18d30f5eaa7966a2aa35c4db8abaa2149eb1878eb3fbfb30b6307f9160c9bfc8",
     ("gala", None, (("local_epochs", 2),)):
-        "21ca9b7faf43b7e8c9871dbf49ab8e98930978dcc2b062c7ac23637fa516d0fc",
+        "a6d503cfc19fcdbcc30adfb88f48cd527c6916ae5b46e29829a4d1867ed14011",
     ("fact_idd", None, (("local_epochs", 2),)):
-        "acbbd341ba7ca68aa51f9473f41719c5a31f23dc816d83d1aa2ff64acb69f96c",
+        "7126100f9262bda9d53763dd5975a3ea74b7c9d729685a8c4594f6f12cf9da8f",
     ("full_pairwise", None, (("local_epochs", 2),)):
-        "15a8889e0ce20d452bf5358e6d5602ebb7a4e72b51de271caa3739af3687e85d",
+        "63549848bf742987fdac020f262051030b64d3f811c876ec6d02e15218328499",
     ("source_only", None, (("local_epochs", 2),)):
-        "5349374d11835a9a6658929529f168b22d76584fd4db79e14c366d3ab7812da8",
+        "51c50f619e59eace53fc28c82c5e34812fd8f85499e8e5b7db839e77181c15e9",
     ("oracle", None, (("local_epochs", 2),)):
-        "1e9a63228c708e565b7d74a7ff59c9ab48fd0790c917bbb994b8d6cd7dd48cac",
+        "2c3103210686a65c1b4e7405a600f1e23b02e92b9efb3d8fe7f3079b4b428adc",
     ("gala", None, (("n_sources", 2),)):
-        "f9db4119434b7caf5a5d923a8d357ff9308fdac1778a4b4702c8cd41b6537fcd",
+        "47df1bda140aacea494bdd0ae17b426ddca7387313b72745254c34bcad99389b",
     ("fact_idd", None, (("n_sources", 2),)):
-        "9c3f47256faa17f6a309f83d7f957d79a90737908cd310be7922f955cad9f98f",
+        "ab6eeb51345af62e058365e37233262490ec80e2995360824cb4363794da4c11",
     ("full_pairwise", None, (("n_sources", 2),)):
-        "b101cd359a0401781dd71f1fb2a7d661912fbc0fb5ef9fa4059eece724014120",
+        "90b66e0c8882d67a80f330a4819c4261d2e00abd815bd4172afd4d75b9fea51a",
     ("source_only", None, (("n_sources", 2),)):
-        "e00d8e5fee24d9ed3f9f4c9c34aeec5d07263b4472f5606f188f867e13b9e617",
+        "6e44639523f90dfe9dab819527e31596994f35e9ae8e92576e91a635307ab0bd",
     ("oracle", None, (("n_sources", 2),)):
-        "6978cde502c626a7b869ff410a5ea5625e29408de6af0c839a3d4b50d6a16614",
+        "ff00fd1b2fa6c9d95610428829e48eed8205e00689c0b33df7853bdf5d530644",
     ("gala", None, (("n_sources", 4),)):
-        "ff4510d4694af8d0e696fd6f8d1dd0dc96d77c9e3b12714d6685d57c91f43f55",
+        "36538809b1e3a66d2f8b37b86fedc1b23ef370d045b0c284d75c26bf856a3308",
     ("fact_idd", None, (("n_sources", 4),)):
-        "451b48b17344338358439ee7547df103a1ad2023cefc280ca7937e53dbc6e11b",
+        "d86bcecf93e64bf2c97d7290a87a8f4771be6b96b4c50f6eb8da198897537f66",
     ("full_pairwise", None, (("n_sources", 4),)):
-        "fc1559f8f6ec1481601279fddc722482ff801d23430086ba1cc652d71d5b128c",
+        "5710019d9ae0e1a9254db37affb99f9471a751bf6b7a459f3303c29325cfa1c0",
     ("source_only", None, (("n_sources", 4),)):
-        "29425dd52adacf27b3a09bd429de1f36b28d781b7c03102aa6697b63d2502f1e",
+        "23b6a86639722db3dc3fde0e855b973b1cafcb356ef32e85509ca7111ad618c4",
     ("oracle", None, (("n_sources", 4),)):
-        "6978cde502c626a7b869ff410a5ea5625e29408de6af0c839a3d4b50d6a16614",
+        "ff00fd1b2fa6c9d95610428829e48eed8205e00689c0b33df7853bdf5d530644",
 }
 
 CASES = [(p, m, ()) for p, m in DIGESTS] + list(MORE_DIGESTS)
@@ -180,3 +183,14 @@ def test_metrics_csv_bytes_match_golden(protocol, mixup_alpha, overrides, tmp_pa
         else DIGESTS[protocol, mixup_alpha]
     assert digest == expected
     assert model_digest(result) == MODEL_DIGESTS[protocol, mixup_alpha, overrides]
+
+
+# (_RESULTS_VERSION, sha256 of the digest tables) when they were taken
+DIGESTS_PIN = (2, "f27c4966bc0fd6cf66e80e18fcc757d1700e830b703c0a2c4b00a8e97e0a4c45")
+
+
+def test_retaken_digests_come_with_a_results_version_bump():
+    """Re-taking a digest changes the tables' hash: pin the new hash together
+    with a bumped results version, or old run CSVs pass for finished runs."""
+    tables = repr([list(t.items()) for t in (DIGESTS, MORE_DIGESTS, MODEL_DIGESTS)])
+    assert (_RESULTS_VERSION, hashlib.sha256(tables.encode()).hexdigest()) == DIGESTS_PIN

@@ -121,6 +121,69 @@ class TestParamVec:
         np.testing.assert_allclose(out.values, v.values, atol=1e-12)
 
 
+class TestDtypeRule:
+    """The math follows the dtype it is given: a float32 extractor on float32
+    batches computes in float32, float64 heads widen its features."""
+
+    @staticmethod
+    def as_float32(extractor):
+        params = extractor.params
+        return extractor.with_params(ParamVec(params.values.astype(np.float32),
+                                              params.shape_spec))
+
+    def test_params_keep_float32_and_widen_other_types(self):
+        spec = (("w", (3,)),)
+        assert ParamVec(np.zeros(3, np.float32), spec).values.dtype == np.float32
+        assert ParamVec(np.zeros(3, np.float32), spec).zeros_like().values.dtype == np.float32
+        for dtype in (np.int64, np.float16):
+            assert ParamVec(np.zeros(3, dtype), spec).values.dtype == np.float64
+
+    def test_float32_extractor_computes_in_float32_under_float64_heads(self):
+        extractor, classifier = small_model()
+        narrow = self.as_float32(extractor)
+        x = np.random.default_rng(1).standard_normal((8, 5)).astype(np.float32)
+        labels = np.arange(8) % 3
+        loss64, grad_g64, grad_f64 = cross_entropy_grad(narrow.with_params(ParamVec(
+            narrow.params.values.astype(np.float64), narrow.params.shape_spec)),
+            classifier, x, labels)
+        for scratch in (None, Scratch()):
+            assert all(a.dtype == np.float32 for a in narrow.forward_trace(x, scratch))
+            loss, grad_g, grad_f = cross_entropy_grad(narrow, classifier, x, labels, scratch)
+            assert grad_g.values.dtype == np.float32 and grad_f.values.dtype == np.float64
+            assert abs(loss - loss64) < 1e-6
+            np.testing.assert_allclose(grad_g.values, grad_g64.values, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(grad_f.values, grad_f64.values, rtol=1e-4, atol=1e-6)
+
+    def test_float64_extractor_widens_float32_batches_exactly(self):
+        extractor, classifier = small_model()
+        x = np.random.default_rng(1).standard_normal((8, 5)).astype(np.float32)
+        labels = np.arange(8) % 3
+        a = cross_entropy_grad(extractor, classifier, x, labels)
+        b = cross_entropy_grad(extractor, classifier, x.astype(np.float64), labels)
+        assert a[0] == b[0] and a[1].values.tobytes() == b[1].values.tobytes()
+
+    def test_weighted_mean_sums_float32_in_float64_and_rounds_once(self):
+        rng = np.random.default_rng(3)
+        spec = (("w", (1000,)),)
+        vecs = [ParamVec(rng.standard_normal(1000).astype(np.float32), spec) for _ in range(5)]
+        weights = softmax(rng.standard_normal(5))
+        exact, float32_products = np.zeros(1000), np.zeros(1000)
+        for w, v in zip(weights, vecs):
+            exact += w * v.values.astype(np.float64)
+            float32_products += float(w) * v.values
+        out = weighted_mean(vecs, weights).values
+        assert out.dtype == np.float32
+        assert out.tobytes() == exact.astype(np.float32).tobytes()
+        assert not np.array_equal(out, float32_products.astype(np.float32))
+
+    def test_scratch_keeps_one_buffer_per_key_and_dtype(self):
+        scratch = Scratch()
+        narrow, wide = scratch.take("k", (2, 3), np.float32), scratch.take("k", (2, 3))
+        assert (narrow.dtype, wide.dtype) == (np.float32, np.float64)
+        assert np.shares_memory(narrow, scratch.take("k", (3, 2), np.float32))
+        assert not np.shares_memory(narrow, wide)
+
+
 class TestSoftmax:
     def test_sums_to_one(self):
         rng = np.random.default_rng(7)

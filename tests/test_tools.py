@@ -1,9 +1,11 @@
-"""tools/code_lines.py, the code-line count the package's size is judged by."""
+"""tools/code_lines.py, the code-line count the package's size is judged by,
+and tools/csv_drift.py, the drift between two sets of metrics CSVs."""
 
 import importlib.util
+import math
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 # 7 code lines: the import, the def, the three lines of the split call, the
 # string expression (not a docstring, so it is code) and the return
@@ -24,8 +26,8 @@ def f(a, b):
 '''
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+def load_tool(name="code_lines"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -44,3 +46,42 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert [line.split() for line in lines] == [
         [str(tmp_path / "pkg" / "a.py"), "7"], [str(tmp_path / "pkg" / "b.py"), "1"],
         ["total", "8"]]
+
+
+HEADER = "round,target_acc,mean_source_loss,w_0\n"
+
+
+def write_runs(directory: Path, run_hash: str, rows: dict) -> Path:
+    directory.mkdir()
+    for label, body in rows.items():
+        (directory / f"sweep__{label}__s0__{run_hash}.csv").write_text(HEADER + body)
+    return directory
+
+
+def test_csv_drift_pairs_runs_across_run_hashes(tmp_path, capsys):
+    a = write_runs(tmp_path / "a", "0123456789ab", {
+        "tau=1.0": "0,0.5,nan,0.25\n1,0.75,1.5,0.5\n", "tau=2.0": "0,0.5,2.0,1.0\n"})
+    b = write_runs(tmp_path / "b", "ba9876543210", {
+        "tau=1.0": "0,0.5,nan,0.25\n1,0.875,1.25,0.5\n", "tau=2.0": "0,0.5,2.0,0.9375\n"})
+    tool = load_tool("csv_drift")
+    assert tool.drift(a, b) == {"round": 0.0, "target_acc": 0.125,
+                                "mean_source_loss": 0.25, "w_0": 0.0625}
+    assert tool.main([str(a), str(b)]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["round", "0"], ["target_acc", "0.125"], ["mean_source_loss", "0.25"],
+        ["w_0", "0.0625"]]
+    # two files; a NaN against a number is an infinite drift
+    one = next(b.glob("*tau=2.0*"))
+    one.write_text(HEADER + "0,0.5,nan,1.0\n")
+    assert math.isinf(tool.drift(next(a.glob("*tau=2.0*")), one)["mean_source_loss"])
+
+
+def test_csv_drift_rejects_sides_that_do_not_pair_up(tmp_path, capsys):
+    a = write_runs(tmp_path / "a", "0123456789ab", {"tau=1.0": "0,0.5,1.0,1.0\n"})
+    b = write_runs(tmp_path / "b", "0123456789ab", {"tau=3.0": "0,0.5,1.0,1.0\n"})
+    c = write_runs(tmp_path / "c", "0123456789ab", {"tau=1.0": "0,0.5,1.0,1.0\n1,0,0,1\n"})
+    tool = load_tool("csv_drift")
+    assert tool.main([str(a), str(b)]) == 2
+    assert "runs on one side only" in capsys.readouterr().err
+    assert tool.main([str(a), str(c)]) == 2
+    assert "header or row count" in capsys.readouterr().err
