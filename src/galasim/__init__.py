@@ -57,7 +57,6 @@ from .domains import (
 )
 from .weighting import (
     CentroidSet,
-    DomainWeights,
     compute_centroids,
     group_normalize,
     mdmgb_baseline,

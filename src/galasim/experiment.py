@@ -418,9 +418,11 @@ def _execute_run(cfg: ProtocolConfig, sources: list[DomainDataset],
 
 def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     """Execute the (sweep x seed) grid; returns the process exit code
-    (0 ok, 3 if any run failed, 4 on I/O failure). A failed run leaves no
-    CSV and is counted in its configuration's num_failed in summary.csv; the
-    other runs and the summary are still written.
+    (0 ok, 3 if any run failed). A failed run leaves no CSV and is counted in
+    its configuration's num_failed in summary.csv; the other runs and the
+    summary are still written. An I/O failure (the output directory, the
+    domain cache, a run CSV or the summary) raises `OSError`, which
+    `galasim run` maps to exit 4.
 
     `parallel` is an upper bound: the pending runs go to
     min(parallel, pending, `federation._processes()`) forked worker processes
@@ -447,13 +449,9 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     spec.validate()
     out_dir = Path(spec.output_dir)
     runs_dir = out_dir / "runs"
-    try:
-        runs_dir.mkdir(parents=True, exist_ok=True)
-        _remove_stale_temp_files(out_dir)
-        domains = build_domains(spec, cache_dir=out_dir / "cache")
-    except OSError as exc:
-        print(f"I/O error: {exc}")
-        return 4
+    runs_dir.mkdir(parents=True, exist_ok=True)
+    _remove_stale_temp_files(out_dir)
+    domains = build_domains(spec, cache_dir=out_dir / "cache")
     check_compatible(list(domains.values()))  # else every run would fail alike
     target = domains[spec.target_name]
     sources = [domains[e.name] for e in spec.domains if e.name != spec.target_name]
@@ -480,17 +478,13 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
                     "OPENBLAS_NUM_THREADS=1 to run in parallel", parallel, workers)
     results = _forked_results(jobs, workers) if workers > 1 else \
         ((k, _execute_run_star(job)) for k, job in enumerate(jobs))
-    try:
-        with closing(results):  # an error here, Ctrl-C too, reaps the workers
-            for done, (k, (path, error)) in enumerate(results, 1):
-                log.info("run %d/%d %s: %s", done, len(jobs), "aborted" if error else "done",
-                         Path(path).name)
-                if error:
-                    failures.append((k, path, error))
-        _write_summary(out_dir / "summary.csv", run_index)
-    except OSError as exc:
-        print(f"I/O error: {exc}")
-        return 4
+    with closing(results):  # an error here, Ctrl-C too, reaps the workers
+        for done, (k, (path, error)) in enumerate(results, 1):
+            log.info("run %d/%d %s: %s", done, len(jobs), "aborted" if error else "done",
+                     Path(path).name)
+            if error:
+                failures.append((k, path, error))
+    _write_summary(out_dir / "summary.csv", run_index)
     for _, path, error in sorted(failures):
         print(f"run {path}: aborted: {error}")
     return 3 if failures else 0

@@ -5,7 +5,7 @@ One round engine, `run_protocol`, runs the group-weighted adaptation protocol
 (fact_idd), full pairwise alignment, pooled source-only averaging and the
 labeled-target oracle. A round trains clients from the broadcast model,
 weights them, aggregates their extractors, optionally fine-tunes the heads,
-runs a target stage, merges the heads and evaluates. Protocols differ only in
+merges the heads, runs a target stage and evaluates. Protocols differ only in
 the clients (every source, the pair `sample_pair` draws, or the labeled
 target), the weights (by centroids for gala and full_pairwise, else equal),
 the frozen-extractor fine-tune (gala and full_pairwise), the target stage (a
@@ -73,7 +73,6 @@ from .nn import (
     weighted_mean,
 )
 from .weighting import (
-    DomainWeights,
     compute_centroids,
     group_normalize,
     mdmgb_baseline,
@@ -217,10 +216,13 @@ def _rng(seed: int, round_index: int, node: int, stage: int) -> np.random.Genera
         np.random.SeedSequence((int(seed), int(round_index), int(node), int(stage))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite prediction raises NumericError
 def evaluate_accuracy(extractor: FeatureExtractor, classifier: Classifier,
                       dataset: DomainDataset) -> float:
     labels = dataset.require_labels()
     probs = classifier.forward(extractor.forward(dataset.samples))
+    if not np.isfinite(probs).all():
+        raise NumericError("non-finite predictions")
     return float((probs.argmax(axis=1) == labels).mean())
 
 
@@ -697,20 +699,25 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 for worker in workers:
                     heads += worker.result(f" in round {t}")
 
-            # the target stage's batch loss
+            # gala's groups, then the head merge
             if protocol == "gala":
+                if not (weights > 0).all():  # a weight underflows to 0 at a large tau
+                    raise NumericError("global weights must be positive", round_index=t,
+                                       client="server")
                 partition = random_partition(n, seed=_partition_seed(cfg.seed, t))
-                # runtime guard: the group-renormalized weights must stay the
-                # exact restriction of the globals (the round is invalid otherwise);
-                # a weight that underflows to zero at a large tau fails it
-                try:
-                    group_w = group_normalize(weights, partition)
-                    DomainWeights(weights, group_w, sims, cfg.tau, partition).validate(1e-9)
-                except ValueError as exc:
-                    raise NumericError(str(exc), round_index=t, client="server") from exc
                 groups = [list(partition.g1), list(partition.g2)]
+                group_w = group_normalize(weights, partition)
                 gc1, gc2 = (GroupClassifier([(i, heads[i]) for i in g], group_w[g])
                             for g in groups)
+                # parameter-space merge; equals sum_n w_n F_n by weight cancellation
+                merged = weighted_mean(
+                    [weighted_mean([heads[i].params for i in g], group_w[g]) for g in groups],
+                    [float(weights[g].sum()) for g in groups])
+            else:
+                merged = weighted_mean([f.params for f in heads], mix)
+            classifier = classifier.with_params(merged)
+
+            # the target stage's batch loss
             if protocol == "full_pairwise":  # steps on the mean pair loss
                 def stage_loss(g, batch):
                     loss, grad = all_pairs_loss(g, heads, batch)
@@ -721,27 +728,19 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
             elif protocol == "gala" and cfg.use_igd:
                 stage_loss = lambda g, batch: igd_loss(g, gc1, gc2, batch)
             extractor, disagreement = aggregated, 0.0
-            try:
+            try:  # a failure here names the target
                 if stage_loss is not None:
                     extractor, disagreement = _target_pass(
                         cfg, aggregated, target_view, lr, _rng(cfg.seed, t, _TARGET_NODE, 3),
                         stage_loss)
                 elif protocol == "gala":  # the ablation still measures the group loss
-                    disagreement, _ = igd_loss(aggregated, gc1, gc2, target_view.samples)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        disagreement, _ = igd_loss(aggregated, gc1, gc2, target_view.samples)
+                    if not np.isfinite(disagreement):
+                        raise NumericError("non-finite group-discrepancy loss")
+                acc = evaluate_accuracy(extractor, classifier, target_eval)
             except NumericError as exc:
                 raise NumericError(str(exc), round_index=t, client="target") from exc
-
-            # head merge
-            if protocol == "gala":
-                # parameter-space merge; equals sum_n w_n F_n by weight cancellation
-                merged = weighted_mean(
-                    [weighted_mean([heads[i].params for i in g], group_w[g]) for g in groups],
-                    [float(weights[g].sum()) for g in groups])
-            else:
-                merged = weighted_mean([f.params for f in heads], mix)
-            classifier = classifier.with_params(merged)
-
-            acc = evaluate_accuracy(extractor, classifier, target_eval)
             records.append(RoundRecord(t, weights, partition, source_losses,
                                        float(disagreement), acc, *traffic, *wall, lr))
             if round_hook is not None:
@@ -773,6 +772,7 @@ def similarity_matrix(domains: Sequence[DomainDataset], cfg: ProtocolConfig) -> 
     Diagonal entries are self-performance, the usual difficulty ordering.
     """
     cfg.validate()
+    check_compatible(domains)
     for d in domains:
         d.require_labels()
     splits = [d.split(1.0 - cfg.eval_fraction, seed=cfg.seed) for d in domains]

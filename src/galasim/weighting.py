@@ -143,26 +143,3 @@ def group_normalize(global_weights: Sequence[float], partition: "GroupPartition"
         out[group] = w[group] / total
     return out
 
-
-@dataclass
-class DomainWeights:
-    """One round's relevance weights: global, group-normalized, raw scores."""
-
-    global_weights: np.ndarray
-    group_normalized: np.ndarray
-    similarity: np.ndarray
-    tau: float
-    partition: "GroupPartition"
-
-    def validate(self, atol: float = 1e-9) -> None:
-        if abs(self.global_weights.sum() - 1.0) > atol:
-            raise ValueError("global weights must sum to 1")
-        if (self.global_weights <= 0).any():
-            raise ValueError("global weights must be positive")
-        for group in (self.partition.g1, self.partition.g2):
-            if abs(self.group_normalized[list(group)].sum() - 1.0) > atol:
-                raise ValueError("group-normalized weights must sum to 1 per group")
-            total = self.global_weights[list(group)].sum()
-            expect = self.global_weights[list(group)] / total
-            if np.abs(self.group_normalized[list(group)] - expect).max() > atol:
-                raise ValueError("group-normalized weights must equal renormalized globals")

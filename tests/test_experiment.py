@@ -679,6 +679,16 @@ class TestRunExperiment:
         assert "configuration error" in err and "broken_src" in err
         assert "Traceback" not in err
 
+    def test_simmatrix_of_domains_of_mixed_class_counts_exits_2(self, tmp_path, capfd):
+        path = write_config(tmp_path, CONFIG.replace(
+            "[domain s0]\ngenerator = gaussian\nnum_classes = 3",
+            "[domain s0]\ngenerator = gaussian\nnum_classes = 4"))
+        assert cli.main(["simmatrix", str(path)]) == 2
+        err = capfd.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert "disagree on class count" in err and "'s0' 4" in err
+        assert not (tmp_path / "out" / "simmatrix.csv").exists()
+
     def test_domains_of_mixed_feature_dims_exit_2_before_any_run(self, tmp_path, capfd):
         glyph_sources = "".join(f"\n[domain g{k}]\n{GLYPH_SRC}seed = {k}\n" for k in range(2))
         path = write_config(tmp_path, CONFIG[:CONFIG.index("[domain s0]")] + glyph_sources)
@@ -1103,9 +1113,9 @@ class TestRunExperiment:
                                                               capsys, parallel):
         budget(monkeypatch, 2)
         monkeypatch.setattr(csv, "writer", FailingAfterHeader)
-        spec = parse_config(write_config(tmp_path))
-        assert run_experiment(spec, parallel=parallel) == 4
-        assert "I/O error: cannot write metrics to " in capsys.readouterr().out
+        config = str(write_config(tmp_path))
+        assert cli.main(["run", config, "--parallel", str(parallel)]) == 4
+        assert "I/O error: cannot write metrics to " in capsys.readouterr().err
         assert not run_csvs(tmp_path / "out")
         assert not (tmp_path / "out" / "summary.csv").exists()
 
@@ -1207,13 +1217,14 @@ class TestRunExperiment:
             ["demo: 4 runs, 4 already done"]
 
     def test_summary_write_failing_midway_keeps_previous_summary(self, tmp_path,
-                                                                  monkeypatch):
+                                                                  monkeypatch, capsys):
         spec = parse_config(write_config(tmp_path))
         assert run_experiment(spec) == 0
         summary = tmp_path / "out" / "summary.csv"
         before = summary.read_bytes()
         monkeypatch.setattr(csv, "writer", FailingAfterHeader)
-        assert run_experiment(parse_config(write_config(tmp_path))) == 4
+        assert cli.main(["run", str(write_config(tmp_path))]) == 4
+        assert "I/O error: " in capsys.readouterr().err
         assert summary.read_bytes() == before
         assert sorted(p.name for p in summary.parent.iterdir()) == \
             ["cache", "runs", "summary.csv"]

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+import warnings
 from time import perf_counter
 from unittest import mock
 
@@ -192,6 +193,22 @@ class TestRunGala:
             run_gala(small_cfg(rounds=1), sources, target)
         assert (info.value.round_index, info.value.client) == (0, "target")
         assert info.value.reason == "centroid set contains non-finite values"
+
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"use_igd": False, "weighting": "uniform"}, "non-finite group-discrepancy loss"),
+        ({"protocol": "source_only"}, "non-finite predictions"),
+    ])
+    def test_non_finite_target_stage_and_evaluation_name_the_target(self, overrides, reason):
+        # no centroid pass here: the target at +-3e38 first overflows in the
+        # no-igd ablation's group loss, or in source_only's evaluation
+        sources, target = small_suite()
+        target = type(target)(target.name, np.sign(target.samples) * np.float32(3e38),
+                              target.labels, target.num_classes)
+        with pytest.raises(NumericError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_protocol(small_cfg(rounds=1, **overrides), sources, target)
+        assert (info.value.round_index, info.value.client) == (0, "target")
+        assert info.value.reason == reason
 
     @pytest.mark.parametrize("mixup_alpha", [None, 0.4])
     def test_frozen_fine_tune_leaves_extractor_bytes(self, mixup_alpha):

@@ -85,3 +85,15 @@ def test_csv_drift_rejects_sides_that_do_not_pair_up(tmp_path, capsys):
     assert "runs on one side only" in capsys.readouterr().err
     assert tool.main([str(a), str(c)]) == 2
     assert "header or row count" in capsys.readouterr().err
+
+
+def test_csv_drift_rejects_a_missing_path_and_directories_without_csvs(tmp_path, capsys):
+    a = write_runs(tmp_path / "a", "0123456789ab", {"tau=1.0": "0,0.5,1.0,1.0\n"})
+    tool = load_tool("csv_drift")
+    assert tool.main([str(a), str(tmp_path / "missing")]) == 2
+    assert capsys.readouterr().err == f"csv_drift: no CSVs at {tmp_path / 'missing'}\n"
+    (tmp_path / "empty1").mkdir()
+    (tmp_path / "empty2").mkdir()
+    assert tool.main([str(tmp_path / "empty1"), str(tmp_path / "empty2")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"csv_drift: no CSVs at {tmp_path / 'empty1'}\n" and not captured.out

@@ -247,25 +247,3 @@ class TestGroupNormalize:
         part = GroupPartition((0,), (1,))
         with pytest.raises(ValueError):
             group_normalize([0.2, 0.3, 0.5], part)
-
-
-class TestDomainWeights:
-    def test_validate_accepts_consistent_round(self):
-        from galasim import DomainWeights
-
-        rng = np.random.default_rng(3)
-        s = rng.uniform(-2, 2, size=5)
-        part = random_partition(5, seed=1)
-        w = mdmgb_plus(s, 1.3)
-        DomainWeights(w, group_normalize(w, part), s, 1.3, part).validate(1e-9)
-
-    def test_validate_rejects_mismatched_groups(self):
-        from galasim import DomainWeights
-
-        rng = np.random.default_rng(4)
-        s = rng.uniform(-2, 2, size=4)
-        part = random_partition(4, seed=2)
-        w = mdmgb_plus(s, 1.0)
-        wrong = group_normalize(np.roll(w, 1), part)
-        with pytest.raises(ValueError):
-            DomainWeights(w, wrong, s, 1.0, part).validate(1e-9)

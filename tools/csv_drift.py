@@ -9,8 +9,9 @@ root:
 
     python tools/csv_drift.py A B
 
-It prints one line per column, in header order, and exits 2 when the two
-sides do not pair up (other runs, headers or row counts).
+It prints one line per column, in header order, and exits 2 when a path is
+neither a CSV file nor a directory holding some, or when the two sides do not
+pair up (other runs, headers or row counts).
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ from pathlib import Path
 
 def _csvs(path: Path) -> dict[str, Path]:
     """The CSVs to compare, keyed by run name without its hash."""
-    if not path.is_dir():
+    if path.is_file():
         return {"": path}
-    return {p.stem.rsplit("__", 1)[0]: p for p in sorted(path.glob("*.csv"))}
+    found = {p.stem.rsplit("__", 1)[0]: p for p in sorted(path.glob("*.csv"))}
+    if not found:  # a missing path too
+        raise ValueError(f"no CSVs at {path}")
+    return found
 
 
 def _read(path: Path) -> tuple[list[str], list[list[float]]]:
@@ -42,7 +46,8 @@ def _gap(a: float, b: float) -> float:
 
 def drift(a: Path, b: Path) -> dict[str, float]:
     """Largest |a - b| per column over every paired CSV and row; raises
-    ValueError when the two sides do not pair up."""
+    ValueError for a path that is neither a file nor a directory with CSVs,
+    or when the two sides do not pair up."""
     left, right = _csvs(Path(a)), _csvs(Path(b))
     if left.keys() != right.keys():
         raise ValueError(f"runs on one side only: {sorted(left.keys() ^ right.keys())}")
