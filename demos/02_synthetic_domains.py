@@ -80,4 +80,4 @@ with tempfile.TemporaryDirectory() as tmp:
     save_dataset(glyphs, path)
     loaded = load_dataset(path)
     print(f"\nfile round trip: {path.stat().st_size} bytes, "
-          f"equal={loaded == glyphs}, raster inferred={loaded.raster_shape}")
+          f"equal={loaded == glyphs}, raster={loaded.raster_shape}")

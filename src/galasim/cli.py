@@ -5,10 +5,8 @@
     galasim gradcheck [--trials N] [--epsilon E] [--seed N]
 
 `run --parallel K` forks at most min(K, pending runs, process budget)
-workers. The budget is the one that sizes a round's source processes: usable
-CPUs // the BLAS thread count that OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS pins, and 1 with none set, so an unpinned BLAS runs the sweep
-serially, with a warning; set OPENBLAS_NUM_THREADS=1 to run in parallel.
+workers; the budget, set out in README's "Source processes", is 1 unless a
+BLAS thread variable such as OPENBLAS_NUM_THREADS=1 is set.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric abort or a worker
 process lost mid-round (or, for `run`, any failed run of the sweep: a run

@@ -11,6 +11,7 @@ so that identical groups are an exact fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +35,8 @@ class GroupPartition:
         n = len(self.g1) + len(self.g2)
         if sorted(self.g1 + self.g2) != list(range(n)):
             raise ValueError("groups must disjointly cover 0..N-1")
-        if len(self.g1) != n // 2:
+        if len(self.g1) != n // 2:  # so for N >= 2 both groups are nonempty
             raise ValueError("group sizes must be floor(N/2) and ceil(N/2)")
-        if n >= 2 and (not self.g1 or not self.g2):
-            raise ValueError("both groups must be nonempty for N >= 2")
 
     def bitmask_g1(self) -> int:
         return sum(1 << i for i in self.g1)
@@ -56,22 +55,13 @@ def random_partition(n_sources: int, seed: int) -> GroupPartition:
 
 
 def enumerate_partitions(n_sources: int) -> list[GroupPartition]:
-    """All distinct unordered (floor, ceil) splits; the small-instance oracle."""
-    from itertools import combinations
-
+    """All distinct unordered (floor, ceil) splits; the small-instance oracle.
+    An even split is listed once, with source 0 in g1."""
     if n_sources < 2:
         raise ConfigError("need at least 2 sources")
-    half = n_sources // 2
-    seen = set()
-    out = []
-    for combo in combinations(range(n_sources), half):
-        rest = tuple(sorted(set(range(n_sources)) - set(combo)))
-        key = frozenset((combo, rest)) if len(combo) == len(rest) else (combo, rest)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(GroupPartition(tuple(combo), rest))
-    return out
+    return [GroupPartition(g1, tuple(i for i in range(n_sources) if i not in g1))
+            for g1 in combinations(range(n_sources), n_sources // 2)
+            if n_sources % 2 or 0 in g1]
 
 
 @dataclass

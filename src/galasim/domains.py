@@ -51,7 +51,7 @@ class DomainDataset:
     labels are int class indices or None (the unlabeled target view).
     raster_shape is (channels, s, s) for glyph-style domains and None for
     vector tasks. Equality compares the fields the file format persists (name,
-    samples, labels, num_classes).
+    samples, labels, num_classes, raster_shape).
     """
 
     name: str
@@ -87,7 +87,8 @@ class DomainDataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DomainDataset):
             return NotImplemented
-        if self.name != other.name or self.num_classes != other.num_classes:
+        if (self.name, self.num_classes, self.raster_shape) != \
+                (other.name, other.num_classes, other.raster_shape):
             return False
         if not np.array_equal(self.samples, other.samples):
             return False
@@ -445,27 +446,29 @@ def mixup(x: np.ndarray, y_soft: np.ndarray, alpha: float, rng: np.random.Genera
 # ---------------------------------------------------------------------------
 # dataset file format
 #
-# little-endian: magic "GDSD", u8 version=1, u16 name length, UTF-8 name,
+# little-endian: magic "GDSD", u8 version=2, u16 name length, UTF-8 name,
 # u32 num_samples, u32 feature_dim, u16 num_classes, u8 has_labels,
+# u16 x 3 raster_shape (channels, height, width; all 0 for a vector task),
 # f32 features row-major, u16 labels if present, u32 CRC32 of all prior bytes.
 
 _MAGIC = b"GDSD"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_dataset(d: DomainDataset, path) -> None:
     name_bytes = d.name.encode("utf-8")
     if len(name_bytes) > 0xFFFF:
         raise ValueError("dataset name too long to serialize")
-    if d.num_classes > 0xFFFF:
-        raise ValueError("num_classes exceeds the u16 format field")
+    raster = d.raster_shape or (0, 0, 0)
+    if max(d.num_classes, *raster) > 0xFFFF:
+        raise ValueError("num_classes or a raster dim exceeds the u16 format field")
     parts = [
         _MAGIC,
         struct.pack("<B", _VERSION),
         struct.pack("<H", len(name_bytes)),
         name_bytes,
-        struct.pack("<IIHB", d.n_samples, d.feature_dim, d.num_classes,
-                    1 if d.labels is not None else 0),
+        struct.pack("<IIHB3H", d.n_samples, d.feature_dim, d.num_classes,
+                    1 if d.labels is not None else 0, *raster),
         np.ascontiguousarray(d.samples, dtype="<f4").tobytes(),
     ]
     if d.labels is not None:
@@ -474,16 +477,6 @@ def save_dataset(d: DomainDataset, path) -> None:
     blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
         fh.write(blob)
-
-
-def _infer_raster_shape(feature_dim: int) -> Optional[tuple[int, int, int]]:
-    # 3*s^2 and t^2 never coincide, so the inference is unambiguous
-    for ch in (3, 1):
-        if feature_dim % ch == 0:
-            side = int(round(np.sqrt(feature_dim // ch)))
-            if side >= 8 and ch * side * side == feature_dim:
-                return (ch, side, side)
-    return None
 
 
 def load_dataset(path) -> DomainDataset:
@@ -508,9 +501,9 @@ def load_dataset(path) -> DomainDataset:
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid UTF-8 name at offset {off}") from exc
     off += name_len
-    n_samples, feature_dim, num_classes, has_labels = struct.unpack(
-        "<IIHB", need(off, 11, "header"))
-    off += 11
+    n_samples, feature_dim, num_classes, has_labels, *raster = struct.unpack(
+        "<IIHB3H", need(off, 17, "header"))
+    off += 17
     feat_bytes = 4 * n_samples * feature_dim
     samples = np.frombuffer(need(off, feat_bytes, "features"), dtype="<f4")
     samples = samples.reshape(n_samples, feature_dim).copy()
@@ -527,4 +520,4 @@ def load_dataset(path) -> DomainDataset:
         raise IntegrityError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
     return DomainDataset(name, samples, labels, num_classes,
-                         raster_shape=_infer_raster_shape(feature_dim))
+                         raster_shape=tuple(raster) if any(raster) else None)

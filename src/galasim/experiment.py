@@ -45,8 +45,9 @@ log = logging.getLogger(__name__)
 
 # Version of the generators and the GDSD format behind cached domains. It is
 # part of the cache digest: bump it when a change alters the bytes a domain
-# entry builds or saves, so stale cache files are rebuilt, not reused.
-_DOMAIN_CACHE_VERSION = 1
+# entry builds or saves, so stale cache files are rebuilt, not reused. 1 saved
+# GDSD version 1, which kept no raster shape; 2 saves version 2, which does.
+_DOMAIN_CACHE_VERSION = 2
 
 # Version of the engine's numeric results. It is part of every run hash, so
 # the run CSVs of an output directory written before a bump are not taken
@@ -230,15 +231,18 @@ def parse_config(path) -> ExperimentSpec:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
-    except configparser.ParsingError as exc:
-        first = exc.errors[0] if getattr(exc, "errors", None) else None
-        lineno = first[0] if first else "?"
-        raise ParseError(f"{path}: parse error at line {lineno}: {exc}") from exc
+    try:  # a UTF-8 byte-order mark, as some Windows editors write, is dropped
+        parser.read_string(path.read_bytes().decode("utf-8-sig"), source=str(path))
+    except UnicodeDecodeError as exc:
+        lineno = exc.object[:exc.start].count(b"\n") + 1
+        raise ParseError(f"{path}: parse error at line {lineno}: not UTF-8 ({exc.reason})") \
+            from None
     except configparser.Error as exc:
-        raise ParseError(f"{path}: parse error: {exc}") from exc
+        # a ParsingError lists (line, text) errors; the others a read raises
+        # (a missing section header, a duplicate section or key) carry a lineno
+        errors = getattr(exc, "errors", None)
+        lineno = getattr(exc, "lineno", None) or (errors[0][0] if errors else "?")
+        raise ParseError(f"{path}: parse error at line {lineno}: {exc}") from exc
 
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
@@ -428,9 +432,8 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     min(parallel, pending, `federation._processes()`) forked worker processes
     (`_forked_results`), which inherit the domains and are sent job indices
     only; with one, they go one by one in this process. Either way each run
-    goes through this module's `_execute_run_star`. That process budget
-    is 1 unless a BLAS thread variable pins the threads (OPENBLAS_NUM_THREADS=1
-    gives one worker per usable CPU), and whenever it lowers the count one
+    goes through this module's `_execute_run_star`. Whenever the process
+    budget (its rule is in `federation._processes`) lowers the count, one
     warning goes to the `galasim.experiment` logger. A worker that dies fails
     only the run it was serving, with a `WorkerError`; a fresh fork takes the
     next run, the summary is still written and the call returns 3. Failed

@@ -25,19 +25,13 @@ frozen fine-tune) runs on several processes when that can help: the sources
 split into contiguous blocks, the caller's process serves the first, and one
 forked worker per further block serves the rest; for the run, each process is
 pinned to its own share of the usable CPUs (the caller's affinity is restored
-afterwards). The process count is derived, not configured: one budget,
-`_processes`, decides every fork, here and in a `--parallel` sweep. It is 1
-inside a `multiprocessing` child (a sweep's worker), where `fork` is
-unavailable, in a process running other threads (fork would copy locks they
-hold), or when none of the BLAS thread variables (OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS, MKL_NUM_THREADS) holds a positive int, since an unpinned BLAS
-would oversubscribe the cores. Otherwise it is the usable CPUs divided by the
-largest of those thread counts; a round uses at most one process per source,
-and none besides its own where `os.sched_setaffinity` is missing. If a worker
-cannot be forked, the run uses one process. A source's results depend only on
-the broadcast model and that source's own seeds, never on its block or
-process, so records are byte-identical for every process count. The same
-forked pipe worker, `_Worker`, serves the runs of a `--parallel` sweep.
+afterwards). A round uses at most one process per source and at most the
+process budget, `_processes`, which decides every fork, here and in a
+`--parallel` sweep; it uses one where `os.sched_setaffinity` is missing or a
+worker cannot be forked. A source's results depend only on the broadcast
+model and that source's own seeds, never on its block or process, so records
+are byte-identical for every process count. The same forked pipe worker,
+`_Worker`, serves the runs of a `--parallel` sweep.
 """
 
 from __future__ import annotations
@@ -322,9 +316,17 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
 
 def _processes() -> int:
     """How many processes this one may keep computing at once, its forked
-    workers included (module docstring). An unset thread count means 1: with
-    BLAS threads unpinned, 2 processes x 2 OpenBLAS threads on 2 cores ran
-    6-20x slower than one process (bench/NOTES.md)."""
+    workers included: the one budget behind a round's source processes and
+    a `--parallel` sweep's workers.
+
+    It is 1 inside a `multiprocessing` child (a sweep's worker), where `fork`
+    is unavailable, in a process running other threads (fork would copy locks
+    they hold), or when none of the BLAS thread variables
+    (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS) holds a positive
+    int: with BLAS threads unpinned, 2 processes x 2 OpenBLAS threads on 2
+    cores ran 6-20x slower than one process (bench/NOTES.md). Otherwise it is
+    the usable CPUs divided by the largest of those thread counts.
+    """
     if multiprocessing.parent_process() is not None or threading.active_count() > 1 \
             or "fork" not in multiprocessing.get_all_start_methods():
         return 1
@@ -646,8 +648,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                              mac_g, mac_f, num_classes)
     pooled = protocol in _POOLED  # fine-tune, source processes
     # the clients that may train, by seed node; the oracle's is the target
-    clients = {_TARGET_NODE: replace(target_train, name="target")} \
-        if protocol == "oracle" else dict(enumerate(sources))
+    clients = {_TARGET_NODE: target_train} if protocol == "oracle" else dict(enumerate(sources))
     pool = _source_pool(cfg, sources) if pooled \
         else nullcontext((_SourceBlock(cfg, clients, list(clients)), []))
 
@@ -765,24 +766,18 @@ def run_gala(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
 
 
 def similarity_matrix(domains: Sequence[DomainDataset], cfg: ProtocolConfig) -> np.ndarray:
-    """Cross-domain accuracy matrix: entry (i, j) is the test accuracy on
-    domain j of a model trained only on domain i's training split.
-
-    Training uses a fixed learning rate (no schedule); rounds are epochs.
-    Diagonal entries are self-performance, the usual difficulty ordering.
+    """Cross-domain accuracy matrix: row i is an oracle run on domain i, with
+    cfg's rounds and learning-rate schedule, and entry (i, j) is the accuracy
+    of its final models on domain j's test split (the split the oracle
+    evaluates on). Diagonal entries are self-performance, the usual
+    difficulty ordering. A NumericError in training names domain i and the
+    round. No golden digest pins the values.
     """
     cfg.validate()
     check_compatible(domains)
-    for d in domains:
-        d.require_labels()
-    splits = [d.split(1.0 - cfg.eval_fraction, seed=cfg.seed) for d in domains]
+    tests = [d.split(1.0 - cfg.eval_fraction, seed=cfg.seed)[1] for d in domains]
     out = np.empty((len(domains), len(domains)))
-    for i, (train_i, _) in enumerate(splits):
-        extractor, classifier = _init_model(cfg, train_i.feature_dim, train_i.num_classes)
-        for t in range(cfg.rounds):
-            (extractor,), (classifier,), _ = _train_lockstep(
-                cfg, cfg.lr0, extractor, [classifier], [train_i],
-                [_rng(cfg.seed, t, i, 5)], round_index=t)
-        for j, (_, test_j) in enumerate(splits):
-            out[i, j] = evaluate_accuracy(extractor, classifier, test_j)
+    for i, domain in enumerate(domains):
+        run = run_protocol(replace(cfg, protocol="oracle"), [], domain)
+        out[i] = [evaluate_accuracy(run.extractor, run.classifier, test) for test in tests]
     return out

@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 DIGESTS = {
     "01_network_engine.py": "d974b3cb3f5051f0e020b79ae338d37dcaa45fbc1e281abbf7baa40b45d600d6",
-    "02_synthetic_domains.py": "71c1a1ba43cc39cbe6470c604ccfd268b137ea8aa61156546fa1faf1bab7ff01",
+    "02_synthetic_domains.py": "0c0310ca21733394e04f1b579c2413abf2b8a1f04cea9a28719b90d28b82332b",
     "03_centroid_weighting.py": "836a7335cba6358e28c2117a1a86d64746935e0198599374e517eaf2e006c06c",
     "04_group_discrepancy.py": "ca1f30e0ad27df49a20e9c23304d13471c8dd2504ae0e9acdbdef783c6419a62",
     "06_experiment_runner.py": "735eda12ed9c5cbb3f1cec26ef87b15affcdd0b17c01dd060e54a5ee9fba0e4e",

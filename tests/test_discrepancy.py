@@ -88,6 +88,19 @@ class TestRandomPartition:
         parts = enumerate_partitions(5)
         assert len(parts) == 10  # C(5,2) splits with sizes (2,3)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_enumeration_lists_every_unordered_split_once(self, n):
+        # brute force over bitmasks: every split into groups of n // 2 and the rest
+        brute = set()
+        for mask in range(1 << n):
+            g1 = tuple(i for i in range(n) if mask >> i & 1)
+            if len(g1) == n // 2:
+                brute.add(frozenset((g1, tuple(i for i in range(n) if not mask >> i & 1))))
+        parts = enumerate_partitions(n)
+        assert len(parts) == len(brute)
+        assert {frozenset((p.g1, p.g2)) for p in parts} == brute
+        assert all(len(p.g1) == n // 2 and (n % 2 or 0 in p.g1) for p in parts)
+
 
 class TestGroupPredict:
     def test_identical_members_any_weights(self):

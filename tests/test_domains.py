@@ -430,6 +430,31 @@ class TestDatasetFile:
         else:
             np.testing.assert_array_equal(loaded.labels, labels)
 
+    def test_a_vector_domain_of_square_dim_loads_without_a_raster_shape(self, tmp_path):
+        d = gen_gaussian_domain(3, 8, 64)
+        path = tmp_path / "g.gdsd"
+        save_dataset(d, path)
+        loaded = load_dataset(path)
+        assert loaded.raster_shape is None
+        assert apply_rotate(loaded, 0.5) == apply_rotate(d, 0.5)
+        # equality compares the raster shape the file stores
+        as_raster = DomainDataset(d.name, d.samples, d.labels, d.num_classes, (1, 8, 8))
+        assert as_raster != d
+
+    @pytest.mark.parametrize("d", [gen_glyph_domain(2, 4, 8, seed=1),
+                                   gen_gaussian_domain(3, 8, 2, seed=1).strip_labels()],
+                             ids=["glyph", "unlabeled_gaussian"])
+    def test_every_prefix_and_byte_flip_is_a_parse_error(self, tmp_path, d):
+        path = tmp_path / "d.gdsd"
+        save_dataset(d, path)
+        blob = path.read_bytes()
+        damaged = [blob[:k] for k in range(len(blob))]
+        damaged += [blob[:k] + bytes([blob[k] ^ 0xFF]) + blob[k + 1:] for k in range(len(blob))]
+        for bad in damaged:
+            path.write_bytes(bad)
+            with pytest.raises(ParseError):
+                load_dataset(path)
+
     def test_truncated_file(self, tmp_path):
         d = gen_gaussian_domain(3, 10, 5, seed=9)
         path = tmp_path / "t.gdsd"
@@ -444,7 +469,7 @@ class TestDatasetFile:
         path = tmp_path / "v.gdsd"
         save_dataset(d, path)
         blob = bytearray(path.read_bytes())
-        blob[4] = 2
+        blob[4] = 3
         path.write_bytes(bytes(blob))
         with pytest.raises(UnsupportedVersionError):
             load_dataset(path)

@@ -206,6 +206,24 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="line"):
             parse_config(path)
 
+    @pytest.mark.parametrize("command", ["run", "simmatrix"])
+    def test_a_config_that_is_not_utf8_exits_2_naming_the_line(self, tmp_path, capfd, command):
+        path = write_config(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"name = demo", b"name = dem\xff"))
+        assert cli.main([command, str(path)]) == 2
+        err = capfd.readouterr().err
+        assert err == (f"configuration error: {path}: parse error at line 3: not UTF-8 "
+                       f"(invalid start byte)\n")
+
+    def test_a_byte_order_mark_is_dropped_and_a_missing_header_names_its_line(self, tmp_path):
+        plain = write_config(tmp_path)
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config(path) == parse_config(plain)
+        path.write_text("name = demo\n[experiment]\n")
+        with pytest.raises(ParseError, match=" at line 1: "):
+            parse_config(path)
+
     def test_target_must_be_in_suite(self, tmp_path):
         text = CONFIG.replace("target = t0", "target = nope")
         with pytest.raises(ConfigError):

@@ -855,3 +855,21 @@ class TestSimilarityMatrix:
         d = gen_gaussian_domain(3, 40, 4, seed=0)
         with pytest.raises(DataError):
             similarity_matrix([d, d.strip_labels()], small_cfg())
+
+    def test_row_i_is_an_oracle_run_on_domain_i(self):
+        domains = [gen_gaussian_domain(3, 16, 4, seed=s, name=f"d{s}") for s in range(3)]
+        cfg = small_cfg(protocol="gala", rounds=3)
+        matrix = similarity_matrix(domains, cfg)
+        for i, trained_on in enumerate(domains):
+            run = run_protocol(dataclasses.replace(cfg, protocol="oracle"), [], trained_on)
+            for j, d in enumerate(domains):
+                test = d.split(1.0 - cfg.eval_fraction, seed=cfg.seed)[1]
+                assert matrix[i, j] == evaluate_accuracy(run.extractor, run.classifier, test)
+            assert matrix[i, i] == run.final_accuracy
+
+    def test_a_numeric_failure_names_the_domain_and_round(self):
+        domains = [gen_gaussian_domain(3, 16, 4, seed=s, name=f"d{s}") for s in range(2)]
+        with pytest.raises(NumericError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            similarity_matrix(domains, small_cfg(lr0=1e12, batch_size=16))
+        assert (info.value.round_index, info.value.client) == (0, "d0")

@@ -97,3 +97,21 @@ def test_csv_drift_rejects_a_missing_path_and_directories_without_csvs(tmp_path,
     assert tool.main([str(tmp_path / "empty1"), str(tmp_path / "empty2")]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"csv_drift: no CSVs at {tmp_path / 'empty1'}\n" and not captured.out
+
+
+def test_csv_drift_compares_text_cells_by_equality(tmp_path):
+    tool = load_tool("csv_drift")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    # a simmatrix: domain names label the rows
+    a.write_text("train\\eval,t0,s0\nt0,0.75,0.5\ns0,0.25,1.0\n")
+    b.write_text("train\\eval,t0,s0\nt0,0.875,0.5\ns0,0.25,1.0\n")
+    assert tool.drift(a, b) == {"train\\eval": 0.0, "t0": 0.125, "s0": 0.0}
+    # a summary: text labels, and empty cells for a config whose runs all failed
+    header = "config,num_runs,mean_final_acc,std_final_acc,num_failed\n"
+    a.write_text(header + "tau=0.5,0,,,2\ntau=2.0,2,0.5,0.0,0\n")
+    b.write_text(header + "tau=0.5,2,0.5,0.0,0\ntau=2.0,2,0.5,0.0,0\n")
+    assert tool.drift(a, b) == {"config": 0.0, "num_runs": 2.0, "mean_final_acc": math.inf,
+                                "std_final_acc": math.inf, "num_failed": 2.0}
+    b.write_text(header + "tau=0.25,0,,,2\ntau=2.0,2,0.5,0.0,0\n")
+    largest = tool.drift(a, b)
+    assert (largest["config"], largest["mean_final_acc"]) == (math.inf, 0.0)

@@ -4,8 +4,10 @@ the run CSVs of two `runs/` directories.
 Run CSVs pair up by name without their trailing run hash
 (`<name>__<label>__s<k>__<hash>.csv`), so the runs of two results versions
 are compared with each other. Cells are compared as floats: two NaNs are no
-drift, a NaN against a number is an infinite one. Run from the repository
-root:
+drift, a NaN against a number is an infinite one. A cell that is not a float
+(a domain or config label, the empty mean of a config whose runs all failed)
+is compared as text: equal cells are no drift, unequal ones an infinite one.
+Run from the repository root:
 
     python tools/csv_drift.py A B
 
@@ -32,16 +34,20 @@ def _csvs(path: Path) -> dict[str, Path]:
     return found
 
 
-def _read(path: Path) -> tuple[list[str], list[list[float]]]:
+def _read(path: Path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    return rows[0], [[float(cell) for cell in row] for row in rows[1:]]
+    return rows[0], rows[1:]
 
 
-def _gap(a: float, b: float) -> float:
-    if math.isnan(a) or math.isnan(b):
-        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
-    return abs(a - b)
+def _gap(a: str, b: str) -> float:
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return 0.0 if a == b else math.inf
+    if math.isnan(x) or math.isnan(y):
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+    return abs(x - y)
 
 
 def drift(a: Path, b: Path) -> dict[str, float]:
