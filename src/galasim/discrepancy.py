@@ -29,7 +29,6 @@ class GroupPartition:
 
     g1: tuple[int, ...]
     g2: tuple[int, ...]
-    seed: int = 0
 
     def __post_init__(self):
         n = len(self.g1) + len(self.g2)
@@ -50,8 +49,7 @@ def random_partition(n_sources: int, seed: int) -> GroupPartition:
     order = rng.permutation(n_sources)
     half = n_sources // 2
     return GroupPartition(tuple(sorted(int(i) for i in order[:half])),
-                          tuple(sorted(int(i) for i in order[half:])),
-                          seed=int(seed))
+                          tuple(sorted(int(i) for i in order[half:])))
 
 
 def enumerate_partitions(n_sources: int) -> list[GroupPartition]:

@@ -120,7 +120,8 @@ class DomainDataset:
         return self.samples.reshape((self.n_samples, *self.raster_shape))
 
     def split(self, train_fraction: float, seed: int) -> tuple["DomainDataset", "DomainDataset"]:
-        """Seeded stratified split; both halves keep every class when labels exist."""
+        """Seeded stratified split; both halves keep every class, so a class
+        of one sample is a DataError."""
         if not 0.0 < train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         labels = self.require_labels()
@@ -128,6 +129,9 @@ class DomainDataset:
         train_idx, test_idx = [], []
         for c in range(self.num_classes):
             idx = np.flatnonzero(labels == c)
+            if idx.size < 2:
+                raise DataError(f"dataset {self.name!r}: class {c} has {idx.size} sample, "
+                                f"and a split needs 2")
             idx = idx[rng.permutation(idx.size)]
             cut = max(1, min(idx.size - 1, int(np.floor(train_fraction * idx.size))))
             train_idx.append(idx[:cut])
@@ -333,17 +337,14 @@ def apply_channel_stack(d: DomainDataset, shift_px: int, seed: int = 0) -> Domai
 
 
 def _rotation_matrix(dim: int, angle: float) -> np.ndarray:
-    """Givens rotations by `angle` in every disjoint coordinate plane."""
+    """Givens rotations by `angle` in every disjoint coordinate plane
+    (0, 1), (2, 3), ...: their product is block-diagonal, the identity with
+    a [[c, -s], [s, c]] block on each plane."""
     rot = np.eye(dim)
     c, s = np.cos(angle), np.sin(angle)
-    for a in range(0, dim - 1, 2):
-        b = a + 1
-        g = np.eye(dim)
-        g[a, a] = c
-        g[a, b] = -s
-        g[b, a] = s
-        g[b, b] = c
-        rot = g @ rot
+    a = np.arange(0, dim - 1, 2)
+    # 0.0 - s and 0.0 + s: at angle ±0 they give +0.0, as the Givens product does
+    rot[a, a], rot[a, a + 1], rot[a + 1, a], rot[a + 1, a + 1] = c, 0.0 - s, 0.0 + s, c
     return rot
 
 

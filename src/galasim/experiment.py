@@ -339,7 +339,9 @@ def build_domains(spec: ExperimentSpec, cache_dir: Optional[Path] = None
                   ) -> dict[str, DomainDataset]:
     """Generate every suite domain, reusing a disk cache keyed by content and
     `_DOMAIN_CACHE_VERSION`. A cached file that does not load (truncated,
-    corrupt or of another format version) is rebuilt and rewritten."""
+    corrupt or of another format version) is rebuilt and rewritten. A domain
+    value the file cannot hold (see `domains.save_dataset`) is a ConfigError
+    naming the domain."""
     out = {}
     for entry in spec.domains:
         key = f"v{_DOMAIN_CACHE_VERSION}|{entry.content_key()}"
@@ -356,7 +358,10 @@ def build_domains(spec: ExperimentSpec, cache_dir: Optional[Path] = None
         log.info("domain %r: built", entry.name)
         if cached is not None:
             cache_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write(cached, lambda tmp: save_dataset(dataset, tmp))
+            try:  # a value the file format cannot hold
+                _atomic_write(cached, lambda tmp: save_dataset(dataset, tmp))
+            except ValueError as exc:
+                raise ConfigError(f"domain {entry.name!r}: {exc}") from exc
         out[entry.name] = dataset
     return out
 
@@ -387,8 +392,6 @@ def _remove_stale_temp_files(out_dir: Path) -> None:
 
 
 def _sweep_grid(spec: ExperimentSpec) -> list[dict]:
-    if not spec.sweep:
-        return [{}]
     keys = [k for k, _ in spec.sweep]
     grids = [v for _, v in spec.sweep]
     return [dict(zip(keys, combo)) for combo in itertools.product(*grids)]
@@ -438,9 +441,10 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     only the run it was serving, with a `WorkerError`; a fresh fork takes the
     next run, the summary is still written and the call returns 3. Failed
     runs are printed in job order.
-    `parallel` < 1, a domain value its generator or a transform rejects, or
-    built domains that disagree on feature dim or class count raise
-    `ConfigError` before any run starts.
+    `parallel` < 1, a domain value its generator, a transform or the domain
+    cache rejects, built domains that disagree on feature dim or class count,
+    or a target class too small to split raise `ConfigError` before any run
+    starts.
 
     Completed runs are skipped by content hash, so interrupted suites resume
     (temp files of writers killed mid-write are removed first); rerunning an
@@ -457,6 +461,10 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     domains = build_domains(spec, cache_dir=out_dir / "cache")
     check_compatible(list(domains.values()))  # else every run would fail alike
     target = domains[spec.target_name]
+    try:  # a split fails alike for every fraction and seed
+        target.split(0.5, seed=0)
+    except DataError as exc:
+        raise ConfigError(f"[domain {spec.target_name}]: {exc}") from exc
     sources = [domains[e.name] for e in spec.domains if e.name != spec.target_name]
     domain_key = "|".join(e.content_key() for e in spec.domains)
 

@@ -687,8 +687,14 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 mix = weights = uniform_weights(n)
             else:
                 sims = np.array([similarity_score(target_cent, c) for c in centroids])
-                mix = weights = mdmgb_plus(sims, cfg.tau) if cfg.weighting == "mdmgb_plus" \
-                    else mdmgb_baseline(sims)
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    mix = weights = mdmgb_plus(sims, cfg.tau) if cfg.weighting == "mdmgb_plus" \
+                        else mdmgb_baseline(sims)
+                # gala's groups need every weight; full_pairwise's may underflow to 0
+                need = "positive" if protocol == "gala" else "finite"
+                if not (weights > 0 if protocol == "gala" else np.isfinite(weights)).all():
+                    raise NumericError(f"global weights must be {need}", round_index=t,
+                                       client="server")
 
             # extractor aggregation, then gala's and full_pairwise's frozen fine-tune
             aggregated = extractor.with_params(weighted_mean(trained, mix))
@@ -702,9 +708,6 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
 
             # gala's groups, then the head merge
             if protocol == "gala":
-                if not (weights > 0).all():  # a weight underflows to 0 at a large tau
-                    raise NumericError("global weights must be positive", round_index=t,
-                                       client="server")
                 partition = random_partition(n, seed=_partition_seed(cfg.seed, t))
                 groups = [list(partition.g1), list(partition.g2)]
                 group_w = group_normalize(weights, partition)

@@ -66,7 +66,7 @@ class TestRandomPartition:
         assert not g1 & g2 and g1 | g2 == set(range(n))
         assert (len(p.g1), len(p.g2)) == (n // 2, n - n // 2)
         assert list(p.g1) == sorted(g1) and list(p.g2) == sorted(g2)
-        assert p.seed == seed and random_partition(n, seed) == p
+        assert random_partition(n, seed) == p
 
     def test_uniform_over_distinct_splits(self):
         # N=4 has exactly 3 distinct unordered (2,2) splits

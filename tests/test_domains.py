@@ -28,7 +28,7 @@ from galasim import (
     mixup,
     save_dataset,
 )
-from galasim.domains import bilinear_resize
+from galasim.domains import _rotation_matrix, bilinear_resize
 from galasim.nn import Scratch
 
 
@@ -48,6 +48,18 @@ def reference_bilinear(img, out_size):
                          + img[y1, x0] * fy * (1 - fx)
                          + img[y1, x1] * fy * fx)
     return out
+
+
+def givens_product(dim, angle):
+    """The rotation as the product of one full Givens matrix per plane
+    (0, 1), (2, 3), ..., each applied after the last."""
+    rot = np.eye(dim)
+    c, s = np.cos(angle), np.sin(angle)
+    for a in range(0, dim - 1, 2):
+        g = np.eye(dim)
+        g[a, a], g[a, a + 1], g[a + 1, a], g[a + 1, a + 1] = c, -s, s, c
+        rot = g @ rot
+    return rot
 
 
 class TestGaussianDomain:
@@ -238,6 +250,17 @@ class TestChannelStack:
 
 
 class TestRotateMeanShift:
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(2, 64),
+           angle=st.sampled_from([0.0, -0.0, np.pi / 2, np.pi, -np.pi, 1e-300])
+           | st.floats(allow_nan=False, allow_infinity=False))
+    def test_block_matrix_equals_the_product_of_givens_matrices(self, dim, angle):
+        want = givens_product(dim, angle)
+        assert _rotation_matrix(dim, angle).tobytes() == want.tobytes()
+        d = gen_gaussian_domain(2, 8, dim, seed=dim)
+        rotated = (d.samples.astype(np.float64) @ want.T).astype(np.float32)
+        assert apply_rotate(d, angle).samples.tobytes() == rotated.tobytes()
+
     def test_rotation_preserves_norms(self):
         d = gen_gaussian_domain(3, 10, 6, seed=2)
         out = apply_rotate(d, 1.1)

@@ -386,7 +386,8 @@ TINY_SUITE = {
 # values to draw by annotation: valid ones, range edges, negatives, zero, nan,
 # inf, huge values and text. Counts draw no huge value: a huge count is valid
 # and would only make the run slow.
-_FLOAT_VALUES = ["0.5", "1", "0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "abc"]
+_FLOAT_VALUES = ["0.5", "1", "0", "-1", "1e-300", "1e300", "1e308", "nan", "inf", "-inf",
+                 "abc"]
 _VALUES = {
     "int": ["1", "2", "8", "0", "-1", "2.5", "nan", "abc", ""],
     "float": _FLOAT_VALUES,
@@ -788,6 +789,34 @@ class TestRunExperiment:
         assert err == (f"configuration error: domain {domain!r}: dataset {domain!r} "
                        f"contains non-finite features\n")
         assert not run_csvs(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["run", "simmatrix"])
+    def test_a_class_count_the_dataset_file_cannot_hold_exits_2_naming_the_domain(
+            self, tmp_path, capfd, command):
+        section = "generator = gaussian\nnum_classes = 65536\nsamples_per_class = 8\n" \
+                  "input_dim = 2\n"
+        assert cli.main([command, str(with_section(tmp_path, section))]) == 2
+        err = capfd.readouterr().err
+        assert err == ("configuration error: domain 'broken_src': num_classes or a raster dim "
+                       "exceeds the u16 format field\n")
+        assert not run_csvs(tmp_path / "out")
+        assert not (tmp_path / "out" / "simmatrix.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "simmatrix"])
+    def test_a_target_class_of_one_sample_exits_2_naming_the_class(self, tmp_path, capfd,
+                                                                   command):
+        glyphs = "".join(f"\n[domain {name}]\n{GLYPH_SRC}seed = {k}\n"
+                         for k, name in enumerate(["t0", "s0", "s1"]))
+        path = write_config(tmp_path, CONFIG[:CONFIG.index("[domain t0]")] + glyphs.replace(
+            "samples_per_class = 10", "samples_per_class = 1", 1))
+        assert cli.main([command, str(path)]) == 2
+        err = capfd.readouterr().err
+        assert "dataset 't0': class 0 has 1 sample, and a split needs 2\n" in err
+        assert "Traceback" not in err
+        if command == "run":
+            assert err.startswith("configuration error: [domain t0]: ")
+        assert not run_csvs(tmp_path / "out")
+        assert not (tmp_path / "out" / "simmatrix.csv").exists()
 
     @pytest.mark.parametrize("change", [dict(hidden_dims=(8, 0)), dict(hidden_dims=(-3,)),
                                         dict(feature_dim=0)], ids=["zero", "negative", "feature"])

@@ -164,6 +164,24 @@ class TestRunGala:
         assert info.value.round_index == 0
         assert info.value.client == "server"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # tau * S overflows unseen
+    @pytest.mark.parametrize("protocol, need", [("gala", "positive"),
+                                                ("full_pairwise", "finite")])
+    def test_overflowing_weights_are_a_numeric_error_before_aggregation(self, protocol, need):
+        sources, target = small_suite(n_sources=3)
+        with mock.patch.object(federation, "weighted_mean",
+                               side_effect=AssertionError("aggregated")), \
+                pytest.raises(NumericError, match=f"global weights must be {need}") as info:
+            run_gala(small_cfg(protocol=protocol, tau=1e308), sources, target)
+        assert (info.value.round_index, info.value.client) == (0, "server")
+
+    def test_full_pairwise_runs_with_an_underflowed_weight(self):
+        sources, target = small_suite(n_sources=3)
+        result = run_gala(small_cfg(protocol="full_pairwise", tau=3000.0),
+                          [*sources, distractor()], target)
+        assert len(result.records) == 2
+        assert (result.records[0].weights == 0).any()
+
     @pytest.mark.parametrize("run", [run_gala, run_protocol])
     @pytest.mark.parametrize("poisoned", [(2,), (1, 3)])
     def test_source_training_error_names_the_client(self, run, poisoned):
