@@ -99,20 +99,23 @@ _SERVER_NODE = 1_000_001
 # nominal client compute rate for the deterministic wall-time model
 MACS_PER_MS = 1.0e6
 
-# Most parameter bytes (extractor plus classifier, at their real itemsize)
-# one lockstep stack may hold. A stack keeps every member's activations,
-# deltas, gradients and momentum alive at once, so its size trades per-step
-# Python work against peak memory. Measured on the benchmark workloads with
-# float64 models: twelve 2.8k-parameter Gaussian clients per stack raised
-# gala_n12's peak RSS from 42.8 to 47.7 MB, four to 44.0 MB and three (as
-# fast as four) to 43.7 MB; five 51k-parameter glyph models per stack raised
-# sweep_glyph's from about 132 to 144 MB, so those train one at a time. With
-# the float32 extractor a Gaussian client holds 11.7 kB, so this cap stacks
-# seven (each source process's block of six on gala_n12): in 4 alternating
-# pairs of 20 s runs against a 40 kB cap (stacks of three) gala_n12 ran
-# 51.1-53.6 against 44.1-50.2 rounds/s, at a peak RSS of 41.98-42.04
-# against 41.63-41.98 MB.
-STACK_BYTES = 80 * 1024
+# Most parameter bytes one lockstep stack may copy, counted per member as
+# what the stack copies: the classifier, plus the extractor when it trains
+# (the frozen fine-tune shares one extractor and stacks heads alone). A stack
+# keeps every member's batch, activations, gradients and momentum alive at
+# once, so its size trades per-step Python work against peak memory. With the
+# float32 extractor a 768-input glyph member counts 206,768 bytes in training
+# (205,184 of extractor, 1,584 of head) and 1,584 in the fine-tune; a
+# gala_n12 Gaussian member counts 11,680 and 1,056. So glyph sources train
+# three to a stack and fine-tune up to 413 to one, and each of gala_n12's two
+# source processes still trains its block of six as one stack. Training
+# stack sizes tried on sweep_glyph (2-vCPU box, 5 alternating pairs of 15 s
+# runs against one at a time, which read a median of 71.3 rounds/s and
+# 94.68 MB; medians, pair ratios in brackets): 2 (2+2+1) 72.1 rounds/s
+# [1.10], 95.91 MB [+1.3 %]; 3 (3+2) 75.7 [1.13], 96.72 MB [+2.2 %];
+# 4 (4+1) 85.5 [1.18], 97.54 MB [+3.1 %]; 5 80.8 [1.20], 98.67 MB [+4.2 %].
+# This is the largest budget within +2.5 % of peak RSS.
+STACK_BYTES = 640 * 1024
 
 # BLAS thread variables; the process budget (`_processes`) needs one pinned
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -224,7 +227,7 @@ def evaluate_accuracy(extractor: FeatureExtractor, classifier: Classifier,
 def _train_lockstep(cfg: ProtocolConfig, lr: float, extractor: FeatureExtractor,
                     classifiers: Sequence[Classifier], datasets: Sequence[DomainDataset],
                     rngs: Sequence[np.random.Generator], round_index: Optional[int] = None,
-                    update_extractor: bool = True):
+                    update_extractor: bool = True, scratch: Optional[Scratch] = None):
     """Minibatch cross-entropy SGD of several clients, one step per batch
     for a whole stack of them.
 
@@ -232,21 +235,27 @@ def _train_lockstep(cfg: ProtocolConfig, lr: float, extractor: FeatureExtractor,
     datasets[k] for cfg.local_epochs, drawing its batch order and mixup from
     rngs[k] alone, so each result is bit-identical to training that client
     by itself. Clients with equal n_samples share a batch schedule and form
-    stacks of at most STACK_BYTES. With update_extractor=False only the heads
-    train, on features of the frozen shared extractor.
+    stacks of at most STACK_BYTES of the parameters a stack copies per
+    member: the classifier, and the extractor when it trains. With
+    update_extractor=False only the heads train, on features of the frozen
+    shared extractor. `scratch` holds the activations and deltas of every
+    stack; a caller that trains every round passes the same one.
 
-    Returns (extractors, classifiers, mean losses), one entry per client. A
+    Returns (extractors, classifiers, mean losses), one entry per client.
+    Trained parameters are read-only views of their stack's final buffer;
+    with update_extractor=False the extractors are `extractor` itself. A
     non-finite loss, gradient or parameter raises NumericError naming the
     lowest-index client of the first step that failed.
     """
-    per_client = extractor.params.values.nbytes + classifiers[0].params.values.nbytes
-    cap = max(1, STACK_BYTES // per_client)
+    per_member = classifiers[0].params.values.nbytes \
+        + (extractor.params.values.nbytes if update_extractor else 0)
+    cap = max(1, STACK_BYTES // per_member)
     by_size: dict[int, list[int]] = {}
     for k, d in enumerate(datasets):
         by_size.setdefault(d.n_samples, []).append(k)
     extractors, heads = [extractor] * len(datasets), list(classifiers)
     losses = np.empty(len(datasets))
-    scratch = Scratch()
+    scratch = Scratch() if scratch is None else scratch
     for members in by_size.values():
         for start in range(0, len(members), cap):
             stack = members[start : start + cap]
@@ -272,7 +281,8 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
     """_train_lockstep on clients of one n_samples; a NumericError's
     `client` is a row of the stack."""
     n, size, num_classes = len(datasets), datasets[0].n_samples, classifiers[0].num_classes
-    dim = datasets[0].feature_dim
+    dim, dtype = datasets[0].feature_dim, extractor.params.values.dtype  # of the batches
+    samples = [d.samples.astype(dtype, copy=False) for d in datasets]  # float32: exact
     onehots = [_as_soft_targets(d.require_labels(), num_classes, 1) for d in datasets]
     if update_extractor:
         extractor = extractor.with_params(ParamStack.of([extractor.params] * n))
@@ -284,11 +294,13 @@ def _train_stack(cfg, lr, extractor, classifiers, datasets, rngs, update_extract
         orders = [rng.permutation(size) for rng in rngs]
         for start in range(0, size, cfg.batch_size):
             idx = [order[start : start + cfg.batch_size] for order in orders]
-            xb = scratch.take("x", (n, idx[0].size, dim), extractor.params.values.dtype)
+            xb = scratch.take("x", (n, idx[0].size, dim), dtype)
             targets = scratch.take("y", (n, idx[0].size, num_classes))
             for k in range(n):
-                xb[k] = datasets[k].samples[idx[k]]  # exact in the extractor's dtype
-                targets[k] = onehots[k][idx[k]]
+                # gathered into the stack's rows with no temporary ("clip" is
+                # exact for an index slice of a permutation)
+                np.take(samples[k], idx[k], axis=0, mode="clip", out=xb[k])
+                np.take(onehots[k], idx[k], axis=0, mode="clip", out=targets[k])
                 if cfg.mixup_alpha is not None and idx[k].size >= 2:
                     # blends xb[k] and targets[k] in place
                     mixup(xb[k], targets[k], cfg.mixup_alpha, rngs[k], scratch=scratch)
@@ -369,13 +381,17 @@ class _SourceBlock:
     from the broadcast model and keeps the trained heads; `finetune`
     then fine-tunes them on the aggregated extractor. Every client draws only
     from its own _rng(seed, round, index, stage), so its results do not
-    depend on which block or process computes it.
+    depend on which block or process computes it. Both phases train in
+    `scratch`, kept across rounds so that a round does not fault in its
+    buffers again.
     """
 
-    def __init__(self, cfg: ProtocolConfig, sources, indices: Sequence[int]):
+    def __init__(self, cfg: ProtocolConfig, sources, indices: Sequence[int],
+                 scratch: Optional[Scratch] = None):
         self.cfg, self.indices = cfg, indices
         self.sources = [sources[i] for i in indices]
         self.heads: list[Classifier] = []
+        self.scratch = Scratch() if scratch is None else scratch
 
     def train(self, t: int, lr: float, extractor: FeatureExtractor,
               classifier: Classifier):
@@ -385,7 +401,8 @@ class _SourceBlock:
             if _centroid_pass(cfg.protocol, cfg.weighting) else []
         trained, self.heads, losses = _train_lockstep(
             cfg, lr, extractor, [classifier] * len(self.sources), self.sources,
-            [_rng(cfg.seed, t, i, 1) for i in self.indices], round_index=t)
+            [_rng(cfg.seed, t, i, 1) for i in self.indices], round_index=t,
+            scratch=self.scratch)
         return centroids, [g.params for g in trained], list(losses)
 
     def finetune(self, t: int, lr: float, aggregated: FeatureExtractor) -> list[Classifier]:
@@ -393,7 +410,7 @@ class _SourceBlock:
         _, heads, _ = _train_lockstep(
             cfg, lr, aggregated, self.heads, self.sources,
             [_rng(cfg.seed, t, i, 2) for i in self.indices], round_index=t,
-            update_extractor=False)
+            update_extractor=False, scratch=self.scratch)
         return heads
 
 
@@ -658,7 +675,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
             lr = lr_schedule(cfg.lr0, t, cfg.gamma)
             sims = partition = finetuned = stage_loss = None
             if protocol == "fact_idd":  # this round's pair trains; the wall model prices it
-                local = _SourceBlock(cfg, clients, sample_pair(cfg.seed, t, n))
+                local = _SourceBlock(cfg, clients, sample_pair(cfg.seed, t, n), local.scratch)
                 wall = _round_wall_model(cfg, [s.n_samples for s in local.sources],
                                          target_view.n_samples, mac_g, mac_f, num_classes)
 

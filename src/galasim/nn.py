@@ -134,8 +134,10 @@ class ParamStack(_FlatParams):
         return cls(np.stack([v.values for v in vecs]), spec)
 
     def row(self, n: int) -> ParamVec:
-        """A copy of client n's parameters."""
-        return ParamVec(self.values[n].copy(), self.shape_spec)
+        """Client n's parameters, a read-only view of the stack's memory."""
+        values = self.values[n]
+        values.flags.writeable = False
+        return ParamVec(values, self.shape_spec)
 
 
 class Scratch:

@@ -513,7 +513,8 @@ def recording(worker_type, seen):
 
 def assert_lockstep_matches_one_at_a_time(cfg, datasets, seed, update_extractor):
     """Training all clients together gives each client's bytes and loss as
-    training it alone, as a stack of one."""
+    training it alone, as a stack of one. Returns the stack sizes of the
+    call that trains them together."""
     input_dim = datasets[0].feature_dim
     extractor, _ = _init_model(cfg, input_dim, 3)
     heads = [Classifier.init(cfg.feature_dim, 3, np.random.default_rng((seed, i)))
@@ -522,14 +523,23 @@ def assert_lockstep_matches_one_at_a_time(cfg, datasets, seed, update_extractor)
     def rngs():
         return [np.random.default_rng((seed, i, 1)) for i in range(len(datasets))]
 
-    g_all, f_all, losses = _train_lockstep(cfg, 0.05, extractor, heads, datasets, rngs(),
-                                           update_extractor=update_extractor)
+    stacks = []
+    train_stack = federation._train_stack
+
+    def spy(*args):
+        stacks.append(len(args[4]))  # the stack's datasets
+        return train_stack(*args)
+
+    with mock.patch.object(federation, "_train_stack", spy):
+        g_all, f_all, losses = _train_lockstep(cfg, 0.05, extractor, heads, datasets, rngs(),
+                                               update_extractor=update_extractor)
     for i, (d, rng) in enumerate(zip(datasets, rngs())):
         (g,), (f,), (loss,) = _train_lockstep(cfg, 0.05, extractor, heads[i:i + 1], [d],
                                               [rng], update_extractor=update_extractor)
         np.testing.assert_array_equal(g_all[i].params.values, g.params.values)
         np.testing.assert_array_equal(f_all[i].params.values, f.params.values)
         assert losses[i] == loss
+    return stacks
 
 
 class TestLockstepTraining:
@@ -545,19 +555,62 @@ class TestLockstepTraining:
                         mixup_alpha=0.4 if mixup else None)
         datasets = [gen_gaussian_domain(3, k, 4, seed=seed + i, name=f"c{i}")
                     for i, k in enumerate(per_class)]
-        per_client = 8 * (16 * 4 + 16 + 8 * 16 + 8 + 3 * 8 + 3)
-        with mock.patch.object(federation, "STACK_BYTES", stack_cap * per_client):
-            assert_lockstep_matches_one_at_a_time(cfg, datasets, seed, update_extractor)
+        # a member's copied parameters: the float64 head, and the float32
+        # extractor when it trains (the frozen fine-tune shares one)
+        per_member = 8 * (3 * 8 + 3) + (4 * (16 * 4 + 16 + 8 * 16 + 8) if update_extractor else 0)
+        with mock.patch.object(federation, "STACK_BYTES", stack_cap * per_member):
+            stacks = assert_lockstep_matches_one_at_a_time(cfg, datasets, seed,
+                                                           update_extractor)
+        groups = [per_class.count(k) for k in dict.fromkeys(per_class)]
+        assert stacks == [min(stack_cap, size - start) for size in groups
+                          for start in range(0, size, stack_cap)]
 
     @pytest.mark.parametrize("update_extractor", [True, False])
-    def test_wide_models_run_one_per_stack(self, update_extractor):
-        # a 768-input model is over the byte budget, so each client is its own stack
+    def test_wide_clients_share_stacks(self, update_extractor):
+        # 768-input clients train at least two to a stack; the fine-tune
+        # stacks heads alone, so all five fine-tune as one
         cfg = small_cfg(local_epochs=1, batch_size=16, mixup_alpha=0.2,
                         hidden_dims=(64,), feature_dim=32)
-        extractor, classifier = _init_model(cfg, 768, 3)
-        assert 8 * (extractor.params.size + classifier.params.size) > federation.STACK_BYTES
-        datasets = [gen_gaussian_domain(3, 10, 768, seed=i, name=f"w{i}") for i in range(3)]
-        assert_lockstep_matches_one_at_a_time(cfg, datasets, 5, update_extractor)
+        datasets = [gen_gaussian_domain(3, 10, 768, seed=i, name=f"w{i}") for i in range(5)]
+        stacks = assert_lockstep_matches_one_at_a_time(cfg, datasets, 5, update_extractor)
+        assert sum(stacks) == 5
+        assert stacks[0] >= 2 if update_extractor else stacks == [5]
+
+    @pytest.mark.parametrize("update_extractor", [True, False])
+    def test_trained_params_are_read_only_views_of_the_stack(self, update_extractor):
+        cfg = small_cfg(local_epochs=1, batch_size=16)
+        datasets = [gen_gaussian_domain(3, 8, 4, seed=i, name=f"c{i}") for i in range(3)]
+        extractor, classifier = _init_model(cfg, 4, 3)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        extractors, heads, _ = _train_lockstep(cfg, 0.05, extractor, [classifier] * 3, datasets,
+                                               rngs, update_extractor=update_extractor)
+        trained = [*heads, *(extractors if update_extractor else [])]
+        for model in trained:
+            values = model.params.values
+            assert not values.flags.writeable and not values.flags.owndata
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+        # the members of one stack share its buffer
+        assert heads[0].params.values.base is heads[2].params.values.base
+        if not update_extractor:
+            assert all(g is extractor for g in extractors)
+
+    def test_a_blocks_second_round_reuses_its_scratch_buffers(self):
+        sources, _ = small_suite()
+        cfg = small_cfg(mixup_alpha=0.4)
+        block = federation._SourceBlock(cfg, sources, range(len(sources)))
+        extractor, classifier = _init_model(cfg, 4, 3)
+
+        def round_(t):
+            block.train(t, 0.05, extractor, classifier)
+            block.finetune(t, 0.05, extractor)
+            return dict(block.scratch._flat)
+
+        first = round_(0)
+        assert first  # activations, deltas and mixup partners
+        second = round_(1)
+        assert second.keys() == first.keys()
+        assert all(second[slot] is buffer for slot, buffer in first.items())
 
 
 class TestRunFact:
