@@ -13,8 +13,8 @@ from galasim import (
     FeatureExtractor,
     GroupClassifier,
     OptimizerState,
+    all_pairs_loss,
     enumerate_partitions,
-    full_pairwise_loss,
     gen_gaussian_domain,
     group_normalize,
     idd_loss,
@@ -32,7 +32,7 @@ heads = [Classifier.init(32, 4, np.random.default_rng(100 + i)) for i in range(N
 target = gen_gaussian_domain(4, 100, 8, seed=9).strip_labels()
 batch = target.samples[:128].astype(np.float64)
 
-full = full_pairwise_loss(extractor, heads, batch)
+full = all_pairs_loss(extractor, heads, batch)[0]
 print(f"all-pairs loss over {N * (N - 1) // 2} pairs: {full:.4f} "
       f"(terms grow quadratically with sources; one stacked pass computes them)")
 
@@ -42,8 +42,8 @@ print(f"one random pair (0,1): {pair_loss:.4f} (cheap but high variance)")
 weights = mdmgb_plus(rng.uniform(1.0, 3.0, size=N), tau=1.0)
 part = random_partition(N, seed=3)
 w_tilde = group_normalize(weights, part)
-gc1 = GroupClassifier([(i, heads[i]) for i in part.g1], w_tilde[list(part.g1)])
-gc2 = GroupClassifier([(i, heads[i]) for i in part.g2], w_tilde[list(part.g2)])
+gc1 = GroupClassifier([heads[i] for i in part.g1], w_tilde[list(part.g1)])
+gc2 = GroupClassifier([heads[i] for i in part.g2], w_tilde[list(part.g2)])
 group_loss, grad = igd_loss(extractor, gc1, gc2, batch)
 print(f"two-group loss, partition {part.g1} vs {part.g2}: {group_loss:.4f} "
       f"(one comparison per round, variance-reduced by averaging)")
@@ -52,8 +52,8 @@ print(f"two-group loss, partition {part.g1} vs {part.g2}: {group_loss:.4f} "
 values = []
 for p in enumerate_partitions(N):
     w_t = group_normalize(weights, p)
-    g1 = GroupClassifier([(i, heads[i]) for i in p.g1], w_t[list(p.g1)])
-    g2 = GroupClassifier([(i, heads[i]) for i in p.g2], w_t[list(p.g2)])
+    g1 = GroupClassifier([heads[i] for i in p.g1], w_t[list(p.g1)])
+    g2 = GroupClassifier([heads[i] for i in p.g2], w_t[list(p.g2)])
     values.append(igd_loss(extractor, g1, g2, batch)[0])
 print(f"expected group loss over all {len(values)} splits: {np.mean(values):.4f} "
       f"(min {min(values):.4f}, max {max(values):.4f})")

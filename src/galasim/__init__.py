@@ -70,7 +70,6 @@ from .discrepancy import (
     all_pairs_loss,
     away_from_kinks,
     enumerate_partitions,
-    full_pairwise_loss,
     idd_loss,
     igd_loss,
     random_partition,

@@ -35,6 +35,7 @@ from .nn import (
     grad_check,
     relative_grad_error,
 )
+from .weighting import group_normalize
 
 
 def _cmd_run(args) -> int:
@@ -100,11 +101,9 @@ def _cmd_gradcheck(args) -> int:
         n = 4
         classifiers = [_random_model(rng)[1] for _ in range(n)]
         part = random_partition(n, seed=int(rng.integers(1 << 31)))
-        w = rng.uniform(0.5, 1.5, size=n)
-        gc1 = GroupClassifier([(i, classifiers[i]) for i in part.g1],
-                              w[list(part.g1)] / w[list(part.g1)].sum())
-        gc2 = GroupClassifier([(i, classifiers[i]) for i in part.g2],
-                              w[list(part.g2)] / w[list(part.g2)].sum())
+        w = group_normalize(rng.uniform(0.5, 1.5, size=n), part)
+        gc1, gc2 = (GroupClassifier([classifiers[i] for i in g], w[list(g)])
+                    for g in (part.g1, part.g2))
         if not away_from_kinks(extractor, gc1, gc2, x):
             continue  # finite differences are invalid across a kink
 

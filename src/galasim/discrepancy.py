@@ -64,7 +64,8 @@ def enumerate_partitions(n_sources: int) -> list[GroupPartition]:
 
 @dataclass
 class GroupClassifier:
-    """Convex combination, in probability space, of member classifiers.
+    """Convex combination, in probability space, of member classifiers (the
+    heads of one source group), one weight per member.
 
     The members' parameters are read once, at construction, into one
     Classifier over a ParamStack: a member's params mutated afterwards are
@@ -73,7 +74,7 @@ class GroupClassifier:
     +0.0, so the results are those of a loop over the members, bit for bit.
     """
 
-    members: list[tuple[int, Classifier]]
+    members: list[Classifier]
     weights: np.ndarray
 
     def __post_init__(self):
@@ -84,20 +85,16 @@ class GroupClassifier:
             raise ValueError("one weight per member required")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("group weights must sum to 1")
-        d0 = self.members[0][1].input_dim
-        c0 = self.members[0][1].num_classes
-        for _, clf in self.members:
+        d0 = self.members[0].input_dim
+        c0 = self.members[0].num_classes
+        for clf in self.members:
             if clf.input_dim != d0 or clf.num_classes != c0:
                 raise ConfigError("group members must share feature dim and class count")
-        self._heads = Classifier(d0, c0, ParamStack.of([clf.params for _, clf in self.members]))
-
-    @property
-    def num_classes(self) -> int:
-        return self.members[0][1].num_classes
+        self._heads = Classifier(d0, c0, ParamStack.of([clf.params for clf in self.members]))
 
     @property
     def input_dim(self) -> int:
-        return self.members[0][1].input_dim
+        return self.members[0].input_dim
 
     def predict(self, z: np.ndarray) -> np.ndarray:
         """Weighted average of member probability outputs (post-softmax);
@@ -160,8 +157,8 @@ def igd_loss(extractor: FeatureExtractor, gc1: GroupClassifier, gc2: GroupClassi
 def idd_loss(extractor: FeatureExtractor, clf_i: Classifier, clf_j: Classifier,
              target_batch: np.ndarray) -> tuple[float, ParamVec]:
     """Single-pair disagreement: the group loss with singleton groups."""
-    gc_i = GroupClassifier([(0, clf_i)], np.array([1.0]))
-    gc_j = GroupClassifier([(0, clf_j)], np.array([1.0]))
+    gc_i = GroupClassifier([clf_i], np.array([1.0]))
+    gc_j = GroupClassifier([clf_j], np.array([1.0]))
     return igd_loss(extractor, gc_i, gc_j, target_batch)
 
 
@@ -174,7 +171,7 @@ def all_pairs_loss(extractor: FeatureExtractor, classifiers: Sequence[Classifier
     n = len(classifiers)
     if n < 2:
         raise ValueError("the pairwise loss needs at least 2 classifiers")
-    heads = GroupClassifier(list(enumerate(classifiers)), np.full(n, 1.0 / n))
+    heads = GroupClassifier(list(classifiers), np.full(n, 1.0 / n))
     acts = _trace(extractor, target_batch, heads)
     q = heads._member_probs(acts[-1])  # (N, batch, C); the group weights go unused
     diff = q[:, None] - q[None]  # (N, N, batch, C): q_i - q_j
@@ -183,24 +180,21 @@ def all_pairs_loss(extractor: FeatureExtractor, classifiers: Sequence[Classifier
     return loss, extractor.backprop(acts, heads._backprop_dfeatures(q, dq))
 
 
-def full_pairwise_loss(extractor: FeatureExtractor, classifiers: Sequence[Classifier],
-                       target_batch: np.ndarray) -> float:
-    """all_pairs_loss without the gradient (evaluation only)."""
-    return all_pairs_loss(extractor, classifiers, target_batch)[0]
+_DIFF_MARGIN = 1e-6  # how near the L1 kink a group-prediction difference may be
+_RELU_MARGIN = 1e-4  # how near zero a ReLU pre-activation may be
 
 
 def away_from_kinks(extractor: FeatureExtractor, gc1: GroupClassifier,
-                    gc2: GroupClassifier, batch: np.ndarray,
-                    diff_margin: float = 1e-6, relu_margin: float = 1e-4) -> bool:
+                    gc2: GroupClassifier, batch: np.ndarray) -> bool:
     """True when the group loss is differentiable in a finite-difference
-    window: no group-prediction difference component within diff_margin of
-    the L1 kink at zero, and no ReLU pre-activation within relu_margin of
+    window: no group-prediction difference component within _DIFF_MARGIN of
+    the L1 kink at zero, and no ReLU pre-activation within _RELU_MARGIN of
     zero. Gradient checks must resample configurations that fail this."""
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     acts = extractor.forward_trace(x)
     # layer i's pre-activation, recomputed from its input acts[i]
     if min(np.abs(extractor.layer_preact(i, a)).min()
-           for i, a in enumerate(acts[:-1])) < relu_margin:
+           for i, a in enumerate(acts[:-1])) < _RELU_MARGIN:
         return False
     diff = gc1.predict(acts[-1]) - gc2.predict(acts[-1])
-    return bool(np.abs(diff).min() >= diff_margin)
+    return bool(np.abs(diff).min() >= _DIFF_MARGIN)

@@ -439,8 +439,9 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> int:
     budget (its rule is in `federation._processes`) lowers the count, one
     warning goes to the `galasim.experiment` logger. A worker that dies fails
     only the run it was serving, with a `WorkerError`; a fresh fork takes the
-    next run, the summary is still written and the call returns 3. Failed
-    runs are printed in job order.
+    next run, the summary is still written and the call returns 3. A run
+    whose worker cannot be forked runs in this process instead, with the same
+    bytes. Failed runs are printed in job order.
     `parallel` < 1, a domain value its generator, a transform or the domain
     cache rejects, built domains that disagree on feature dim or class count,
     or a target class too small to split raise `ConfigError` before any run
@@ -521,14 +522,22 @@ def _forked_results(jobs: list, workers: int):
     finish, from `workers` forked workers each serving one job at a time.
 
     A worker that dies fails only its job, with a WorkerError, and a fresh
-    fork takes the next; any other error a job raises is raised here.
+    fork takes the next. A job whose worker cannot be forked (an OSError)
+    runs in this process, through `_execute_run_star`, and the job after it
+    tries a fork again. Any other error a job raises is raised here.
     Workers are reaped on every exit path."""
     runs, todo = _Runs(jobs), iter(range(len(jobs)))
-    forked, busy = [], {}  # every worker; a busy one's pipe -> (worker, its job index)
+    # every worker; a busy one's pipe -> (worker, its job index); the
+    # (job index, result) of jobs run here
+    forked, busy, here = [], {}, []
 
     def start(worker, k):
         if worker is None:
-            worker = _Worker(runs, [w.conn for w in forked], "this run")
+            try:
+                worker = _Worker(runs, [w.conn for w in forked], "this run")
+            except OSError:  # no process to spare: this one runs the job
+                here.append((k, _execute_run_star(jobs[k])))
+                return
             forked.append(worker)
         worker.submit("run", k)
         busy[worker.conn] = (worker, k)
@@ -536,13 +545,17 @@ def _forked_results(jobs: list, workers: int):
     try:
         for k in itertools.islice(todo, workers):
             start(None, k)
-        while busy:
-            for conn in wait(list(busy)):
+        while busy or here:
+            done = [(None, *here.pop(0))] if here else []
+            # after a run here, only the results the workers already sent
+            for conn in [c for c in busy if c.poll()] if done else wait(list(busy)):
                 worker, k = busy.pop(conn)
                 try:
                     result = worker.result()
                 except WorkerError as exc:  # the next job goes to a fresh fork
                     worker, result = None, (jobs[k][3], f"{type(exc).__name__}: {exc}")
+                done.append((worker, k, result))
+            for worker, k, result in done:
                 yield k, result
                 k = next(todo, None)
                 if k is not None:

@@ -728,7 +728,7 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 partition = random_partition(n, seed=_partition_seed(cfg.seed, t))
                 groups = [list(partition.g1), list(partition.g2)]
                 group_w = group_normalize(weights, partition)
-                gc1, gc2 = (GroupClassifier([(i, heads[i]) for i in g], group_w[g])
+                gc1, gc2 = (GroupClassifier([heads[i] for i in g], group_w[g])
                             for g in groups)
                 # parameter-space merge; equals sum_n w_n F_n by weight cancellation
                 merged = weighted_mean(
@@ -743,7 +743,8 @@ def run_protocol(cfg: ProtocolConfig, sources: Sequence[DomainDataset],
                 def stage_loss(g, batch):
                     loss, grad = all_pairs_loss(g, heads, batch)
                     pairs = n * (n - 1) / 2
-                    return loss / pairs, grad * (1 / pairs)
+                    grad.values *= 1 / pairs
+                    return loss / pairs, grad
             elif protocol == "fact_idd":  # the pair's two heads
                 stage_loss = lambda g, batch: idd_loss(g, *heads, batch)
             elif protocol == "gala" and cfg.use_igd:

@@ -67,9 +67,6 @@ class _FlatParams:
     def zeros_like(self):
         return type(self)(np.zeros_like(self.values), self.shape_spec)
 
-    def copy(self):
-        return type(self)(self.values.copy(), self.shape_spec)
-
     def unpack(self) -> dict[str, np.ndarray]:
         """Views of each layer block, reshaped behind any leading axes;
         mutating them mutates the parameters."""
@@ -87,8 +84,9 @@ class _FlatParams:
 class ParamVec(_FlatParams):
     """Flat parameter vector plus the layer layout it flattens.
 
-    Two ParamVecs with the same shape_spec are element-wise combinable;
-    `unpack` exposes per-layer views into the flat buffer (no copies).
+    `unpack` exposes per-layer views into the flat buffer (no copies); the
+    model math (`sgd_step`, `weighted_mean`) checks that the ParamVecs it
+    combines share one shape_spec.
     """
 
     NDIM = 1  # axes of `values`
@@ -96,19 +94,6 @@ class ParamVec(_FlatParams):
     @classmethod
     def zeros(cls, shape_spec: ShapeSpec) -> "ParamVec":
         return cls(np.zeros(_layout(shape_spec)[0]), shape_spec)
-
-    def __add__(self, other: "ParamVec") -> "ParamVec":
-        self._check_compatible(other)
-        return ParamVec(self.values + other.values, self.shape_spec)
-
-    def __sub__(self, other: "ParamVec") -> "ParamVec":
-        self._check_compatible(other)
-        return ParamVec(self.values - other.values, self.shape_spec)
-
-    def __mul__(self, factor: float) -> "ParamVec":
-        return ParamVec(self.values * float(factor), self.shape_spec)
-
-    __rmul__ = __mul__
 
     @property
     def size(self) -> int:

@@ -18,12 +18,12 @@ from galasim import (
     ParamVec,
     ProtocolConfig,
     TransformSpec,
+    all_pairs_loss,
     apply_background_overlay,
     apply_channel_stack,
     apply_scale_recenter,
     away_from_kinks,
     enumerate_partitions,
-    full_pairwise_loss,
     gen_gaussian_domain,
     gen_glyph_domain,
     grad_check,
@@ -175,8 +175,8 @@ def test_02_gradient_suite():
     while checked < 20:
         ext, _ = random_model(rng)
         members = [random_model(rng)[1] for _ in range(4)]
-        gc1 = GroupClassifier([(0, members[0]), (1, members[1])], np.array([0.5, 0.5]))
-        gc2 = GroupClassifier([(2, members[2]), (3, members[3])], np.array([0.4, 0.6]))
+        gc1 = GroupClassifier([members[0], members[1]], np.array([0.5, 0.5]))
+        gc2 = GroupClassifier([members[2], members[3]], np.array([0.4, 0.6]))
         x = rng.standard_normal((3, 4))
         if not away_from_kinks(ext, gc1, gc2, x):
             continue  # resample away from L1 and ReLU kinks
@@ -199,7 +199,7 @@ def test_03_small_instance_oracles():
     members = [random_model(rng)[1] for _ in range(4)]
     x = rng.standard_normal((6, 4))
 
-    total = full_pairwise_loss(ext, members, x)
+    total = all_pairs_loss(ext, members, x)[0]
     manual = sum(idd_loss(ext, members[i], members[j], x)[0]
                  for i in range(4) for j in range(i + 1, 4))
     pairwise_err = abs(total - manual)
@@ -207,8 +207,8 @@ def test_03_small_instance_oracles():
     # expected group loss over all three (2,2) splits vs straight-line oracle
     via_library = []
     for part in enumerate_partitions(4):
-        gc1 = GroupClassifier([(i, members[i]) for i in part.g1], np.array([0.5, 0.5]))
-        gc2 = GroupClassifier([(i, members[i]) for i in part.g2], np.array([0.5, 0.5]))
+        gc1 = GroupClassifier([members[i] for i in part.g1], np.array([0.5, 0.5]))
+        gc2 = GroupClassifier([members[i] for i in part.g2], np.array([0.5, 0.5]))
         via_library.append(igd_loss(ext, gc1, gc2, x)[0])
     feats = ext.forward(x)
     probs = [m.forward(feats) for m in members]

@@ -15,8 +15,8 @@ from galasim import (
     NumericError,
     ParamVec,
     ProtocolConfig,
+    all_pairs_loss,
     enumerate_partitions,
-    full_pairwise_loss,
     idd_loss,
     igd_loss,
     random_partition,
@@ -106,21 +106,21 @@ class TestGroupPredict:
     def test_identical_members_any_weights(self):
         rng = np.random.default_rng(0)
         clf = random_classifier(rng)
-        gc = GroupClassifier([(0, clf), (1, clf)], np.array([0.3, 0.7]))
+        gc = GroupClassifier([clf, clf], np.array([0.3, 0.7]))
         z = rng.standard_normal(3)
         np.testing.assert_allclose(gc.predict(z), clf.forward(z), atol=1e-12)
 
     def test_hand_value(self):
         a = onehot_classifier(3, 2, hot=0)
         b = onehot_classifier(3, 2, hot=1)
-        gc = GroupClassifier([(0, a), (1, b)], np.array([0.3, 0.7]))
+        gc = GroupClassifier([a, b], np.array([0.3, 0.7]))
         np.testing.assert_allclose(gc.predict(np.zeros(3)), [0.3, 0.7], atol=0)
 
     def test_convexity_bounds(self):
         rng = np.random.default_rng(1)
         members = [random_classifier(rng) for _ in range(3)]
         w = rng.dirichlet(np.ones(3))
-        gc = GroupClassifier(list(enumerate(members)), w)
+        gc = GroupClassifier(members, w)
         z = rng.standard_normal((10, 3))
         got = gc.predict(z)
         stack = np.stack([m.forward(z) for m in members])
@@ -131,7 +131,7 @@ class TestGroupPredict:
     def test_weights_must_sum_to_one(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            GroupClassifier([(0, random_classifier(rng))], np.array([0.9]))
+            GroupClassifier([random_classifier(rng)], np.array([0.9]))
 
 
 def loop_average(gc, per_member):
@@ -143,7 +143,7 @@ def loop_average(gc, per_member):
 
 def loop_dfeatures(gc, member_probs, dprobs):
     dfeat = np.zeros((dprobs.shape[0], gc.input_dim))
-    for w, (_, clf), q in zip(gc.weights, gc.members, member_probs):
+    for w, clf, q in zip(gc.weights, gc.members, member_probs):
         dq = w * dprobs
         du = q * (dq - (dq * q).sum(axis=1, keepdims=True))
         dfeat += du @ clf.params.unpack()["w"]
@@ -153,8 +153,8 @@ def loop_dfeatures(gc, member_probs, dprobs):
 def loop_igd_loss(ext, gc1, gc2, x):
     """The group loss and gradient member by member, each head on its own."""
     acts = ext.forward_trace(x)
-    q1 = [clf.forward(acts[-1]) for _, clf in gc1.members]
-    q2 = [clf.forward(acts[-1]) for _, clf in gc2.members]
+    q1 = [clf.forward(acts[-1]) for clf in gc1.members]
+    q2 = [clf.forward(acts[-1]) for clf in gc2.members]
     diff = loop_average(gc1, q1) - loop_average(gc2, q2)
     loss = float(np.abs(diff).sum() / x.shape[0])
     sign = np.sign(diff) / x.shape[0]
@@ -184,7 +184,7 @@ def stacked_case(draw):
             heads.append(Classifier(d, c, ParamVec(np.array(values),
                                                    Classifier.shape_spec(d, c))))
         raw = np.array(draw(st.lists(_raw_weight, min_size=m, max_size=m)))
-        groups.append(GroupClassifier(list(enumerate(heads)), raw / raw.sum()))
+        groups.append(GroupClassifier(heads, raw / raw.sum()))
     x = rng.standard_normal((batch, 4))
     x[rng.random(x.shape) < 0.2] = -0.0
     return ext, groups[0], groups[1], x
@@ -197,8 +197,8 @@ def eight_heads_one_feature():
     rng = np.random.default_rng(4)
     ext = random_extractor(rng, d=1)
     heads = [random_classifier(rng, d=1, num_classes=2) for _ in range(9)]
-    gc1 = GroupClassifier(list(enumerate(heads[:8])), np.full(8, 1 / 8))
-    gc2 = GroupClassifier([(0, heads[8])], np.array([1.0]))
+    gc1 = GroupClassifier(heads[:8], np.full(8, 1 / 8))
+    gc2 = GroupClassifier([heads[8]], np.array([1.0]))
     return ext, gc1, gc2, rng.standard_normal((1, 4))
 
 
@@ -210,10 +210,10 @@ class TestStackedHeads:
         ext, gc1, gc2, x = case
         z = ext.forward(x)
         for gc in (gc1, gc2):
-            want = loop_average(gc, [clf.forward(z) for _, clf in gc.members])
+            want = loop_average(gc, [clf.forward(z) for clf in gc.members])
             assert gc.predict(z).tobytes() == want.tobytes()
             # the member sum starts from +0.0 as the loop does: all -0.0 terms give +0.0
-            terms = np.full((len(gc.members), z.shape[0], gc.num_classes), -0.0)
+            terms = np.full((len(gc.members), z.shape[0], gc.members[0].num_classes), -0.0)
             terms[..., ::2] = 0.5
             assert gc._average(terms).tobytes() == loop_average(gc, list(terms)).tobytes()
         loss, grad = igd_loss(ext, gc1, gc2, x)
@@ -223,7 +223,7 @@ class TestStackedHeads:
 
     def test_single_feature_vector_gives_one_prediction(self):
         rng = np.random.default_rng(18)
-        gc = GroupClassifier([(0, random_classifier(rng)), (1, random_classifier(rng))],
+        gc = GroupClassifier([random_classifier(rng), random_classifier(rng)],
                              np.array([0.25, 0.75]))
         z = rng.standard_normal(3)
         assert gc.predict(z).shape == (3,)
@@ -231,7 +231,7 @@ class TestStackedHeads:
 
     def test_feature_dim_mismatch(self):
         rng = np.random.default_rng(19)
-        gc = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
+        gc = GroupClassifier([random_classifier(rng)], np.array([1.0]))
         with pytest.raises(ConfigError):
             gc.predict(np.zeros((2, 4)))
 
@@ -241,7 +241,7 @@ class TestIgdLoss:
         rng = np.random.default_rng(3)
         ext = random_extractor(rng)
         members = [random_classifier(rng) for _ in range(2)]
-        gc = GroupClassifier(list(enumerate(members)), np.array([0.4, 0.6]))
+        gc = GroupClassifier(members, np.array([0.4, 0.6]))
         loss, grad = igd_loss(ext, gc, gc, rng.standard_normal((6, 4)))
         assert loss == 0.0
         assert np.all(grad.values == 0.0)
@@ -250,8 +250,8 @@ class TestIgdLoss:
         # group 1 mixes exact one-hots 0.6/0.4; group 2 mixes them 0.5/0.5
         a = onehot_classifier(3, 2, hot=0)
         b = onehot_classifier(3, 2, hot=1)
-        gc1 = GroupClassifier([(0, a), (1, b)], np.array([0.6, 0.4]))
-        gc2 = GroupClassifier([(0, a), (1, b)], np.array([0.5, 0.5]))
+        gc1 = GroupClassifier([a, b], np.array([0.6, 0.4]))
+        gc2 = GroupClassifier([a, b], np.array([0.5, 0.5]))
         rng = np.random.default_rng(4)
         ext = random_extractor(rng)
         loss, _ = igd_loss(ext, gc1, gc2, rng.standard_normal((1, 4)))
@@ -267,9 +267,9 @@ class TestIgdLoss:
             attempts += 1
             ext = random_extractor(rng)
             members = [random_classifier(rng) for _ in range(4)]
-            gc1 = GroupClassifier([(0, members[0]), (1, members[1])],
+            gc1 = GroupClassifier([members[0], members[1]],
                                   np.array([0.5, 0.5]))
-            gc2 = GroupClassifier([(2, members[2]), (3, members[3])],
+            gc2 = GroupClassifier([members[2], members[3]],
                                   np.array([0.35, 0.65]))
             x = rng.standard_normal((3, 4))
             if not away_from_kinks(ext, gc1, gc2, x):
@@ -286,15 +286,15 @@ class TestIgdLoss:
         rng = np.random.default_rng(6)
         for _ in range(20):
             ext = random_extractor(rng)
-            gc1 = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
-            gc2 = GroupClassifier([(1, random_classifier(rng))], np.array([1.0]))
+            gc1 = GroupClassifier([random_classifier(rng)], np.array([1.0]))
+            gc2 = GroupClassifier([random_classifier(rng)], np.array([1.0]))
             loss, _ = igd_loss(ext, gc1, gc2, rng.standard_normal((5, 4)))
             assert 0.0 <= loss <= 2.0
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(7)
         ext = random_extractor(rng)
-        gc = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
+        gc = GroupClassifier([random_classifier(rng)], np.array([1.0]))
         with pytest.raises(ValueError):
             igd_loss(ext, gc, gc, np.zeros((0, 4)))
 
@@ -313,8 +313,8 @@ class TestIddLoss:
         fi, fj = random_classifier(rng), random_classifier(rng)
         x = rng.standard_normal((5, 4))
         li, gi = idd_loss(ext, fi, fj, x)
-        gc_i = GroupClassifier([(0, fi)], np.array([1.0]))
-        gc_j = GroupClassifier([(1, fj)], np.array([1.0]))
+        gc_i = GroupClassifier([fi], np.array([1.0]))
+        gc_j = GroupClassifier([fj], np.array([1.0]))
         lg, gg = igd_loss(ext, gc_i, gc_j, x)
         assert li == lg
         assert np.array_equal(gi.values, gg.values)
@@ -325,14 +325,14 @@ class TestFullPairwise:
         rng = np.random.default_rng(10)
         ext = random_extractor(rng)
         clf = random_classifier(rng)
-        assert full_pairwise_loss(ext, [clf] * 4, rng.standard_normal((4, 4))) == 0.0
+        assert all_pairs_loss(ext, [clf] * 4, rng.standard_normal((4, 4)))[0] == 0.0
 
     def test_matches_sum_of_pairs(self):
         rng = np.random.default_rng(11)
         ext = random_extractor(rng)
         members = [random_classifier(rng) for _ in range(4)]
         x = rng.standard_normal((6, 4))
-        total = full_pairwise_loss(ext, members, x)
+        total = all_pairs_loss(ext, members, x)[0]
         manual = sum(idd_loss(ext, members[i], members[j], x)[0]
                      for i in range(4) for j in range(i + 1, 4))
         np.testing.assert_allclose(total, manual, atol=1e-9)
@@ -363,9 +363,9 @@ class TestPartitionMarginalization:
         x = rng.standard_normal((8, 4))
         via_library = []
         for part in enumerate_partitions(4):
-            gc1 = GroupClassifier([(i, members[i]) for i in part.g1],
+            gc1 = GroupClassifier([members[i] for i in part.g1],
                                   np.array([0.5, 0.5]))
-            gc2 = GroupClassifier([(i, members[i]) for i in part.g2],
+            gc2 = GroupClassifier([members[i] for i in part.g2],
                                   np.array([0.5, 0.5]))
             via_library.append(igd_loss(ext, gc1, gc2, x)[0])
         expected = float(np.mean(via_library))
@@ -381,9 +381,9 @@ class TestConvexityBound:
             members = [random_classifier(rng) for _ in range(4)]
             part = random_partition(4, seed=int(rng.integers(1 << 31)))
             x = rng.standard_normal((4, 4))
-            gc1 = GroupClassifier([(i, members[i]) for i in part.g1],
+            gc1 = GroupClassifier([members[i] for i in part.g1],
                                   np.full(len(part.g1), 1.0 / len(part.g1)))
-            gc2 = GroupClassifier([(i, members[i]) for i in part.g2],
+            gc2 = GroupClassifier([members[i] for i in part.g2],
                                   np.full(len(part.g2), 1.0 / len(part.g2)))
             group_loss, _ = igd_loss(ext, gc1, gc2, x)
             pair_max = max(idd_loss(ext, members[i], members[j], x)[0]
@@ -394,13 +394,14 @@ class TestConvexityBound:
         rng = np.random.default_rng(14)
         ext = random_extractor(rng)
         clf = random_classifier(rng)
-        members = [clf.with_params(clf.params.copy()) for _ in range(5)]
+        members = [clf.with_params(ParamVec(clf.params.values.copy(), clf.params.shape_spec))
+                   for _ in range(5)]
         x = rng.standard_normal((4, 4))
         for part in enumerate_partitions(5)[:5]:
             w1 = rng.dirichlet(np.ones(len(part.g1)))
             w2 = rng.dirichlet(np.ones(len(part.g2)))
-            gc1 = GroupClassifier([(i, members[i]) for i in part.g1], w1)
-            gc2 = GroupClassifier([(i, members[i]) for i in part.g2], w2)
+            gc1 = GroupClassifier([members[i] for i in part.g1], w1)
+            gc2 = GroupClassifier([members[i] for i in part.g2], w2)
             loss, _ = igd_loss(ext, gc1, gc2, x)
             assert loss <= 1e-12
 
@@ -426,7 +427,7 @@ class TestAdversarialUpdate:
         rng = np.random.default_rng(15)
         ext = random_extractor(rng)
         members = [random_classifier(rng) for _ in range(2)]
-        gc = GroupClassifier(list(enumerate(members)), np.array([0.5, 0.5]))
+        gc = GroupClassifier(members, np.array([0.5, 0.5]))
         out, mean_loss = _target_pass(stage_cfg(2, 4), ext,
                                       target_view(rng.standard_normal((8, 4))), 0.01,
                                       np.random.default_rng(0), group_loss(gc, gc))
@@ -436,8 +437,8 @@ class TestAdversarialUpdate:
     def test_zero_lr_fixed_point(self):
         rng = np.random.default_rng(16)
         ext = random_extractor(rng)
-        gc1 = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
-        gc2 = GroupClassifier([(1, random_classifier(rng))], np.array([1.0]))
+        gc1 = GroupClassifier([random_classifier(rng)], np.array([1.0]))
+        gc2 = GroupClassifier([random_classifier(rng)], np.array([1.0]))
         out, _ = _target_pass(stage_cfg(1, 8), ext, target_view(rng.standard_normal((8, 4))),
                               0.0, np.random.default_rng(0), group_loss(gc1, gc2))
         assert np.array_equal(out.params.values, ext.params.values)
@@ -446,8 +447,8 @@ class TestAdversarialUpdate:
         rng = np.random.default_rng(17)
         ext = random_extractor(rng)
         ext.params.values[:] = 1e300  # the forward pass overflows to inf - inf
-        gc1 = GroupClassifier([(0, random_classifier(rng))], np.array([1.0]))
-        gc2 = GroupClassifier([(1, random_classifier(rng))], np.array([1.0]))
+        gc1 = GroupClassifier([random_classifier(rng)], np.array([1.0]))
+        gc2 = GroupClassifier([random_classifier(rng)], np.array([1.0]))
         with pytest.raises(NumericError, match="group-discrepancy loss"), \
                 np.errstate(all="ignore"):
             _target_pass(stage_cfg(1, 8), ext, target_view(rng.standard_normal((8, 4))),
@@ -460,9 +461,9 @@ class TestAdversarialUpdate:
             rng = np.random.default_rng(100 + seed)
             ext = random_extractor(rng)
             members = [random_classifier(rng) for _ in range(4)]
-            gc1 = GroupClassifier([(0, members[0]), (1, members[1])],
+            gc1 = GroupClassifier([members[0], members[1]],
                                   np.array([0.5, 0.5]))
-            gc2 = GroupClassifier([(2, members[2]), (3, members[3])],
+            gc2 = GroupClassifier([members[2], members[3]],
                                   np.array([0.5, 0.5]))
             target = target_view(rng.standard_normal((16, 4)))
             x = target.samples

@@ -1051,6 +1051,29 @@ class TestRunExperiment:
         assert "aborted: WorkerError: " in out
         assert "Traceback" not in err
 
+    def test_failed_fork_runs_the_job_in_this_process(self, tmp_path, monkeypatch):
+        budget(monkeypatch, 2)
+        spec = parse_config(write_config(tmp_path))
+        spec.output_dir = str(tmp_path / "serial")
+        assert run_experiment(spec, parallel=1) == 0
+        real_start = multiprocessing.process.BaseProcess.start
+        started = []
+
+        def start(process):
+            if started:  # the second worker cannot be forked, nor any later one
+                raise OSError(11, "Resource temporarily unavailable")
+            started.append(process)
+            real_start(process)
+
+        spec.output_dir = str(tmp_path / "out")
+        with mock.patch.object(multiprocessing.process.BaseProcess, "start", start):
+            assert run_experiment(spec, parallel=2) == 0
+        assert len(started) == 1 and started[0].exitcode is not None
+        assert len(run_csvs(tmp_path / "out")) == 4
+        assert run_csvs(tmp_path / "out") == run_csvs(tmp_path / "serial")
+        assert (tmp_path / "out" / "summary.csv").read_bytes() == \
+            (tmp_path / "serial" / "summary.csv").read_bytes()
+
     @pytest.mark.parametrize("parallel", [0, -1])
     def test_parallel_below_1_is_a_config_error(self, tmp_path, capsys, parallel):
         spec = parse_config(write_config(tmp_path))

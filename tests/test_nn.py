@@ -1,4 +1,4 @@
-"""Engine tests: parameter algebra, forward oracle, analytic gradients
+"""Engine tests: parameter layout, forward oracle, analytic gradients
 against finite differences, optimizer arithmetic, schedule."""
 
 import numpy as np
@@ -69,23 +69,15 @@ class TestParamVec:
         with pytest.raises(ValueError):
             ParamVec(np.zeros(5), (("w", (2, 3)),))
 
-    def test_add_scale_algebra(self):
-        rng = np.random.default_rng(42)
-        spec = (("w", (10, 10)), ("b", (10,)))
-        for _ in range(20):
-            a = ParamVec(rng.standard_normal(110), spec)
-            b = ParamVec(rng.standard_normal(110), spec)
-            c = ParamVec(rng.standard_normal(110), spec)
-            np.testing.assert_allclose((a + b).values, (b + a).values, atol=1e-12)
-            np.testing.assert_allclose(((a + b) + c).values, (a + (b + c)).values,
-                                       atol=1e-12)
-            np.testing.assert_allclose((2.0 * a).values, (a * 2.0).values, atol=0)
-
     def test_incompatible_specs_rejected(self):
         a = ParamVec(np.zeros(4), (("w", (2, 2)),))
         b = ParamVec(np.zeros(4), (("v", (4,)),))
         with pytest.raises(ValueError):
-            a + b
+            sgd_step(a, b, OptimizerState.for_params(a), lr=0.1)
+        with pytest.raises(ValueError):
+            sgd_step(a, a, OptimizerState.for_params(b), lr=0.1)
+        with pytest.raises(ValueError):
+            weighted_mean([a, b], [0.5, 0.5])
 
     def test_unpack_views_alias_flat_buffer(self):
         pv = ParamVec.zeros((("w", (2, 2)), ("b", (2,))))
@@ -467,7 +459,7 @@ class TestGradCheck:
         x = rng.standard_normal((3, 5))
         y = np.array([0, 1, 2])
         _, grad_g, _ = cross_entropy_grad(extractor, classifier, x, y)
-        doubled = grad_g * 2.0
+        doubled = ParamVec(grad_g.values * 2.0, grad_g.shape_spec)
         numeric = finite_difference_grad(
             lambda pv: cross_entropy_grad(extractor.with_params(pv), classifier,
                                           x, y)[0],

@@ -13,7 +13,6 @@ from galasim import (
     ParamVec,
     ProtocolConfig,
     all_pairs_loss,
-    full_pairwise_loss,
     idd_loss,
     run_protocol,
 )
@@ -70,8 +69,8 @@ class TestAllPairsLoss:
         want_loss, want_grad, size = pair_loop(ext, heads, x)
         assert abs(loss - want_loss) <= RTOL * want_loss
         assert np.all(np.abs(grad.values - want_grad) <= RTOL * size.max())
-        assert abs(full_pairwise_loss(ext, heads, x) - want_loss) <= 1e-9
-        assert full_pairwise_loss(ext, heads, x) == loss
+        assert abs(all_pairs_loss(ext, heads, x)[0] - want_loss) <= 1e-9
+        assert all_pairs_loss(ext, heads, x)[0] == loss
 
     def test_identical_heads_give_zero_loss_and_zero_gradient(self):
         rng = np.random.default_rng(7)

@@ -99,6 +99,22 @@ def test_csv_drift_rejects_a_missing_path_and_directories_without_csvs(tmp_path,
     assert captured.err == f"csv_drift: no CSVs at {tmp_path / 'empty1'}\n" and not captured.out
 
 
+def test_csv_drift_rejects_an_empty_csv_and_a_short_row(tmp_path, capsys):
+    tool = load_tool("csv_drift")
+    a, b, empty = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "empty.csv"
+    empty.write_text("")
+    a.write_text("a,b\n1,2\n3\n")
+    b.write_text("a,b\n1,2\n3,9\n")
+    assert tool.main([str(empty), str(b)]) == 2
+    assert capsys.readouterr().err == f"csv_drift: {empty} is empty\n"
+    # a missing cell is not a cell without drift
+    for args in ([a, b], [b, a]):
+        assert tool.main([str(p) for p in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"csv_drift: {a} row 3 has 1 cells, its header 2\n"
+        assert not captured.out
+
+
 def test_csv_drift_compares_text_cells_by_equality(tmp_path):
     tool = load_tool("csv_drift")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -12,8 +12,9 @@ Run from the repository root:
     python tools/csv_drift.py A B
 
 It prints one line per column, in header order, and exits 2 when a path is
-neither a CSV file nor a directory holding some, or when the two sides do not
-pair up (other runs, headers or row counts).
+neither a CSV file nor a directory holding some, when a CSV is empty or has a
+row whose cell count is not its header's (naming the file and row), or when
+the two sides do not pair up (other runs, headers or row counts).
 """
 
 from __future__ import annotations
@@ -35,8 +36,16 @@ def _csvs(path: Path) -> dict[str, Path]:
 
 
 def _read(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows; raises ValueError for an empty file or a row
+    whose cell count is not its header's (zip would drop the missing cells)."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path} is empty")
+    for n, row in enumerate(rows[1:], 2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path} row {n} has {len(row)} cells, its header "
+                             f"{len(rows[0])}")
     return rows[0], rows[1:]
 
 
@@ -53,7 +62,7 @@ def _gap(a: str, b: str) -> float:
 def drift(a: Path, b: Path) -> dict[str, float]:
     """Largest |a - b| per column over every paired CSV and row; raises
     ValueError for a path that is neither a file nor a directory with CSVs,
-    or when the two sides do not pair up."""
+    for an empty or ragged CSV, or when the two sides do not pair up."""
     left, right = _csvs(Path(a)), _csvs(Path(b))
     if left.keys() != right.keys():
         raise ValueError(f"runs on one side only: {sorted(left.keys() ^ right.keys())}")
